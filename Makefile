@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet verify quick bench codec-gate chaos-smoke monitor-smoke shard-smoke
+.PHONY: build test race vet verify quick bench codec-gate chaos-smoke monitor-smoke shard-smoke batcher-loop bench-smoke
 
 build:
 	$(GO) build ./...
@@ -56,11 +56,26 @@ chaos-smoke:
 monitor-smoke:
 	$(GO) test ./internal/chaos/ -race -run TestMonitorSmoke -count=1 -v
 
+# batcher-loop = the Batcher's tests twenty times over under the race
+# detector. Its flush policy is clocked by its own deliveries, so what
+# it does depends on how goroutines interleave; one pass samples one
+# interleaving, and a load-dependent failure shows only in a loop.
+batcher-loop:
+	$(GO) test -race -count=20 -run 'Batcher' ./internal/abcast/
+
+# bench-smoke = the repository benchmark (benchmark/README.md) with
+# one-second windows: every workload end to end with its correctness
+# gate on, so a change that leaves the tests green but makes a run
+# incorrect (records reaching the sink late, say) fails here.
+bench-smoke:
+	$(GO) run -C benchmark moc/benchmark -smoke
+
 # verify = the tier-1 gate: vet + race-enabled tests + codec gates +
-# the seeded chaos campaign + the live-verification smoke. The full
-# (non-short) interleaving soak and sharded chaos cell already run
-# inside `race`; shard-smoke is the fast standalone cut CI reuses.
-verify: vet race codec-gate chaos-smoke monitor-smoke
+# the Batcher race loop + the seeded chaos campaign + the
+# live-verification smoke. The full (non-short) interleaving soak and
+# sharded chaos cell already run inside `race`; shard-smoke is the fast
+# standalone cut CI reuses.
+verify: vet race codec-gate batcher-loop chaos-smoke monitor-smoke
 
 # quick = the fast loop: -short trims the chaos/stress iteration counts.
 quick:

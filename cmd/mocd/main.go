@@ -66,7 +66,7 @@ func run() error {
 		broadcast   = flag.String("broadcast", "seq", `atomic broadcast: "seq", "lamport" or "token"`)
 		epoch       = flag.Int64("epoch", 0, "shared clock epoch, unix nanoseconds (0 = daemon start; share one value across the cluster so merged traces are real-time comparable)")
 		batch       = flag.Int("batch", 1, "coalesce up to this many updates into one broadcast frame (1 = unbatched; same value on every daemon)")
-		batchWindow = flag.Duration("batchwindow", 0, "longest an update waits for its batch to fill (0 with -batch > 1 uses the built-in default)")
+		batchWindow = flag.Duration("batchwindow", 0, "bound on how long a queued update waits; a batch normally goes out when the pipeline is idle, when the previous flush is delivered, or at -batch updates (0 with -batch > 1 uses the built-in default)")
 		inflight    = flag.Int("inflight", 1, "updates outstanding per process (pipelined issuance; same value on every daemon)")
 		shards      = flag.Int("shards", 1, "partition the object space (id mod N) into this many independent broadcast lanes; single-shard operations never cross lanes (same value on every daemon; incompatible with -recover)")
 		codec       = flag.String("codec", transport.CodecBinary, `frame body encoding this daemon sends: "binary" or "gob" (receiving is always codec-agnostic, so mixed clusters interoperate)`)

@@ -120,7 +120,7 @@ func run() error {
 		seed        = flag.Int64("seed", 1, "randomness seed")
 		relevant    = flag.Bool("relevant", false, "mlin: send only relevant objects in query responses")
 		batch       = flag.Int("batch", 1, "msc/mlin: coalesce up to this many updates into one broadcast frame (1 = unbatched)")
-		batchWindow = flag.Duration("batchwindow", 0, "msc/mlin: longest an update waits for its batch to fill (0 with -batch > 1 uses the built-in default)")
+		batchWindow = flag.Duration("batchwindow", 0, "msc/mlin: bound on how long a queued update waits; a batch normally goes out when the pipeline is idle, when the previous flush is delivered, or at -batch updates (0 with -batch > 1 uses the built-in default)")
 		inflight    = flag.Int("inflight", 1, "msc/mlin: updates outstanding per process (pipelined issuance)")
 		drop        = flag.Float64("drop", 0, "fault injection: per-message drop probability in [0,1)")
 		dup         = flag.Float64("dup", 0, "fault injection: per-message duplication probability in [0,1)")

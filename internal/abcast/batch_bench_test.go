@@ -1,0 +1,111 @@
+package abcast
+
+import (
+	"sync"
+	"testing"
+
+	"moc/internal/transport"
+)
+
+// benchBatcher is the deployed shape of the batched update path: a
+// sequencer over a three-node loopback TCP cluster under a batch-32
+// Batcher with the default window. The issuer is process 1 — the sequencer endpoint
+// lives on node 0, so both the request and the order cross a socket.
+// The other processes' streams are drained in the background.
+func benchBatcher(b *testing.B) (bat *Batcher, own <-chan Delivery) {
+	const procs, issuer = 3, 1
+	cl, err := transport.NewCluster(procs)
+	if err != nil {
+		b.Fatalf("NewCluster: %v", err)
+	}
+	seq, err := NewSequencer(SequencerConfig{Procs: procs, Links: cl.Factory()})
+	if err != nil {
+		cl.Close()
+		b.Fatalf("NewSequencer: %v", err)
+	}
+	bat = NewBatcher(seq, BatchConfig{Size: 32})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for p := 0; p < procs; p++ {
+		if p == issuer {
+			continue
+		}
+		wg.Add(1)
+		go func(ch <-chan Delivery) {
+			defer wg.Done()
+			for {
+				select {
+				case <-ch:
+				case <-stop:
+					return
+				}
+			}
+		}(bat.Deliveries(p))
+	}
+	b.Cleanup(func() {
+		close(stop)
+		wg.Wait()
+		bat.Close()
+		cl.Close()
+	})
+	return bat, bat.Deliveries(issuer)
+}
+
+// BenchmarkBatcherLone is the latency an idle Batcher adds to one
+// update: submit, wait for the issuer's own delivery, repeat.
+func BenchmarkBatcherLone(b *testing.B) {
+	bat, own := benchBatcher(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := bat.Broadcast(1, int64(i), 8); err != nil {
+			b.Fatalf("Broadcast: %v", err)
+		}
+		<-own
+	}
+}
+
+// BenchmarkBatcherPipelined keeps 64 closed-loop submitters on one
+// Batcher and reports how many updates a flush carries.
+func BenchmarkBatcherPipelined(b *testing.B) {
+	const submitters = 64
+	bat, own := benchBatcher(b)
+	done := make([]chan struct{}, submitters)
+	for i := range done {
+		done[i] = make(chan struct{}, 1)
+	}
+	// Every update carries its submitter's index; the dispatcher hands
+	// each own delivery back to the submitter waiting on it.
+	dispatched := make(chan struct{})
+	go func() {
+		defer close(dispatched)
+		for n := 0; n < b.N; n++ {
+			d := <-own
+			done[d.Payload.(int64)] <- struct{}{}
+		}
+	}()
+	f0, _, _ := bat.BatchStats()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for s := 0; s < submitters; s++ {
+		n := b.N / submitters
+		if s < b.N%submitters {
+			n++
+		}
+		wg.Add(1)
+		go func(s, n int) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if err := bat.Broadcast(1, int64(s), 8); err != nil {
+					b.Errorf("Broadcast: %v", err)
+					return
+				}
+				<-done[s]
+			}
+		}(s, n)
+	}
+	wg.Wait()
+	<-dispatched
+	b.StopTimer()
+	f1, _, _ := bat.BatchStats()
+	b.ReportMetric(float64(b.N)/float64(f1-f0), "items/flush")
+}

@@ -2,9 +2,11 @@ package abcast
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
+	"moc/internal/network"
 	"moc/internal/network/testutil"
 )
 
@@ -39,47 +41,174 @@ func TestBatcherConformance(t *testing.T) {
 	}
 }
 
-// A full queue must flush as one multi-item BatchMsg, and the batch
-// counters must meter it.
-func TestBatcherCoalesces(t *testing.T) {
-	inner, err := NewSequencer(SequencerConfig{Procs: 2, Seed: 21})
-	if err != nil {
-		t.Fatalf("NewSequencer: %v", err)
-	}
-	b := NewBatcher(inner, BatchConfig{Size: 4, Window: time.Hour})
-	defer b.Close()
+// scriptedInner is a Broadcaster whose total order the test drives by
+// hand: every Broadcast is handed to the test on sent, and deliver puts
+// one delivery on every process's stream. It makes the flush policy
+// observable without timing: what reached the inner broadcaster, as
+// what, and released by which delivery.
+type scriptedInner struct {
+	sent chan Delivery
+	outs []chan Delivery
+	seq  int64
+}
 
-	for i := 0; i < 4; i++ {
-		if err := b.Broadcast(0, fmt.Sprintf("m%d", i), 4); err != nil {
-			t.Fatalf("Broadcast: %v", err)
-		}
+func newScriptedInner(procs int) *scriptedInner {
+	s := &scriptedInner{sent: make(chan Delivery, 16), outs: make([]chan Delivery, procs)}
+	for p := range s.outs {
+		s.outs[p] = make(chan Delivery, 16)
 	}
-	got := testutil.Drain(t, 10*time.Second, b.Deliveries(1), 4,
-		testutil.Source("batcher transport", b.NetStats))
-	for i, d := range got {
-		if d.Seq != int64(i) || d.Payload != fmt.Sprintf("m%d", i) {
-			t.Fatalf("delivery %d = %+v", i, d)
-		}
-	}
-	flushes, batches, items := b.BatchStats()
-	if flushes != 1 || batches != 1 || items != 4 {
-		t.Fatalf("BatchStats = (%d, %d, %d), want (1, 1, 4)", flushes, batches, items)
-	}
-	// The inner broadcaster saw exactly one submission.
-	msgs, _ := inner.MessageCost()
-	if msgs == 0 {
-		t.Fatal("inner broadcaster recorded no traffic")
+	return s
+}
+
+func (s *scriptedInner) Broadcast(from int, payload any, bytes int) error {
+	s.sent <- Delivery{From: from, Payload: payload}
+	return nil
+}
+func (s *scriptedInner) Deliveries(p int) <-chan Delivery { return s.outs[p] }
+func (s *scriptedInner) MessageCost() (int64, int64)      { return 0, 0 }
+func (s *scriptedInner) NetStats() network.Stats          { return network.Stats{} }
+func (s *scriptedInner) Close()                           {}
+
+// deliver orders d next at every process.
+func (s *scriptedInner) deliver(d Delivery) {
+	d.Seq = s.seq
+	s.seq++
+	for _, out := range s.outs {
+		out <- d
 	}
 }
 
-// A lone update must travel as the raw payload (no BatchMsg wrapper)
-// once the window expires, and must not count as a multi-item batch.
-func TestBatcherWindowFlushSingle(t *testing.T) {
+// nextSent waits for the Batcher's next inner Broadcast.
+func (s *scriptedInner) nextSent(t *testing.T) Delivery {
+	t.Helper()
+	select {
+	case d := <-s.sent:
+		return d
+	case <-time.After(10 * time.Second):
+		t.Fatal("the Batcher flushed nothing")
+		return Delivery{}
+	}
+}
+
+// wantBatch asserts that d is a BatchMsg carrying exactly the payloads.
+func wantBatch(t *testing.T, d Delivery, payloads ...string) {
+	t.Helper()
+	batch, ok := d.Payload.(BatchMsg)
+	if !ok || len(batch.Items) != len(payloads) {
+		t.Fatalf("flushed %+v, want one BatchMsg of %v", d.Payload, payloads)
+	}
+	for i, it := range batch.Items {
+		if it.Payload != payloads[i] {
+			t.Fatalf("batch item %d = %v, want %v", i, it.Payload, payloads[i])
+		}
+	}
+}
+
+// mustBroadcast submits the payloads from process 0, in order.
+func mustBroadcast(t *testing.T, b *Batcher, payloads ...string) {
+	t.Helper()
+	for _, m := range payloads {
+		if err := b.Broadcast(0, m, 4); err != nil {
+			t.Fatalf("Broadcast: %v", err)
+		}
+	}
+}
+
+// Items submitted while a flush is in flight must wait for it and then
+// travel as one BatchMsg, released by that flush coming back in its
+// issuer's own delivery stream — the window never elapses here.
+func TestBatcherCoalesces(t *testing.T) {
+	inner := newScriptedInner(2)
+	b := NewBatcher(inner, BatchConfig{Size: 8, Window: time.Hour})
+	defer b.Close()
+	own := b.Deliveries(0)
+	mustBroadcast(t, b, "m0")
+	first := inner.nextSent(t)
+	if first.Payload != "m0" || first.From != 0 {
+		t.Fatalf("idle flush = %+v, want the raw m0", first)
+	}
+	mustBroadcast(t, b, "m1", "m2", "m3")
+	select {
+	case d := <-inner.sent:
+		t.Fatalf("flushed %+v while m0 was still in flight", d.Payload)
+	default:
+	}
+	// Another process's delivery is not the Batcher's clock.
+	inner.deliver(Delivery{From: 1, Payload: "foreign"})
+	if d := <-own; d.Payload != "foreign" {
+		t.Fatalf("delivery = %+v", d)
+	}
+	select {
+	case d := <-inner.sent:
+		t.Fatalf("a foreign delivery released %+v", d.Payload)
+	default:
+	}
+
+	inner.deliver(first)
+	second := inner.nextSent(t)
+	wantBatch(t, second, "m1", "m2", "m3")
+	inner.deliver(second)
+	for i, want := range []string{"m0", "m1", "m2", "m3"} {
+		d := <-own
+		if d.Seq != int64(i+1) || d.Payload != want || d.From != 0 {
+			t.Fatalf("delivery %d = %+v, want %s", i+1, d, want)
+		}
+	}
+	flushes, batches, items := b.BatchStats()
+	if flushes != 2 || batches != 1 || items != 3 {
+		t.Fatalf("BatchStats = (%d, %d, %d), want (2, 1, 3)", flushes, batches, items)
+	}
+}
+
+// An issuer whose flushes never come back — it crashed, or nobody reads
+// its delivery stream — has no clock: its updates must still all go
+// out, by Size or after Window, and the loss may cost one window only.
+func TestBatcherLostOwnDelivery(t *testing.T) {
+	inner := newScriptedInner(2)
+	b := NewBatcher(inner, BatchConfig{Size: 3, Window: time.Hour})
+	defer b.Close()
+	// Only m4 below waits out a window, so only it gets a short one.
+	setWindow := func(d time.Duration) {
+		b.mu.Lock()
+		b.cfg.Window = d
+		b.mu.Unlock()
+	}
+	mustBroadcast(t, b, "m0")
+	if d := inner.nextSent(t); d.Payload != "m0" {
+		t.Fatalf("idle flush = %+v, want the raw m0", d)
+	}
+	// m0 never comes back. A full batch does not wait for it.
+	mustBroadcast(t, b, "m1", "m2", "m3")
+	wantBatch(t, inner.nextSent(t), "m1", "m2", "m3")
+	// A partial batch waits out the window.
+	setWindow(time.Millisecond)
+	mustBroadcast(t, b, "m4")
+	last := inner.nextSent(t)
+	if last.Payload != "m4" {
+		t.Fatalf("window flush = %+v, want the raw m4", last)
+	}
+	// The window wrote both lost flushes off: once m4 is back the
+	// pipeline counts as empty and m5 goes out at once.
+	setWindow(time.Hour)
+	inner.deliver(last)
+	if d := <-b.Deliveries(0); d.Payload != "m4" {
+		t.Fatalf("delivery = %+v", d)
+	}
+	mustBroadcast(t, b, "m5")
+	if d := inner.nextSent(t); d.Payload != "m5" {
+		t.Fatalf("flush after the write-off = %+v, want the raw m5", d)
+	}
+}
+
+// A lone update must reach every process as the raw payload (no
+// BatchMsg wrapper) without the window elapsing, and must not count as
+// a multi-item batch.
+func TestBatcherLoneNeedsNoWindow(t *testing.T) {
 	inner, err := NewSequencer(SequencerConfig{Procs: 2, Seed: 22})
 	if err != nil {
 		t.Fatalf("NewSequencer: %v", err)
 	}
-	b := NewBatcher(inner, BatchConfig{Size: 64, Window: time.Millisecond})
+	b := NewBatcher(inner, BatchConfig{Size: 64, Window: time.Hour})
 	defer b.Close()
 
 	if err := b.Broadcast(1, "solo", 4); err != nil {
@@ -93,6 +222,116 @@ func TestBatcherWindowFlushSingle(t *testing.T) {
 	flushes, batches, items := b.BatchStats()
 	if flushes != 1 || batches != 0 || items != 0 {
 		t.Fatalf("BatchStats = (%d, %d, %d), want (1, 0, 0)", flushes, batches, items)
+	}
+}
+
+// hammerMsg identifies one update of the hammer: its submitting
+// goroutine and that goroutine's running count.
+type hammerMsg struct{ worker, n int }
+
+// Concurrent submitters, streams read from the start, and no usable
+// window: every flush is clocked by an own delivery or by Size, over
+// all three orderers on FIFO links. Each stream must be gap-free and
+// all streams identical. With one issuing process — a daemon's Batcher
+// carries its own updates only — each submitter's updates must also
+// arrive in submission order. With every process issuing through one
+// Batcher (the embedded store) consecutive batches may be headed by
+// different processes, which no orderer keeps in order, exactly as it
+// keeps no order between unbatched broadcasts of different processes.
+func TestBatcherHammer(t *testing.T) {
+	const procs, workers, perWorker = 3, 12, 40
+	const total = workers * perWorker
+	orderers := []struct {
+		name string
+		mk   func() (Broadcaster, error)
+	}{
+		{"sequencer", func() (Broadcaster, error) {
+			return NewSequencer(SequencerConfig{Procs: procs, Seed: 31, MaxDelay: time.Millisecond, FD: fdForTest()})
+		}},
+		{"lamport", func() (Broadcaster, error) {
+			return NewLamport(LamportConfig{Procs: procs, Seed: 32, MaxDelay: time.Millisecond})
+		}},
+		{"token", func() (Broadcaster, error) {
+			return NewToken(TokenConfig{Procs: procs, Seed: 33, MaxDelay: time.Millisecond, FD: fdForTest()})
+		}},
+	}
+	for _, tc := range orderers {
+		for _, issuers := range []int{1, procs} {
+			t.Run(fmt.Sprintf("%s/issuers=%d", tc.name, issuers), func(t *testing.T) {
+				inner, err := tc.mk()
+				if err != nil {
+					t.Fatalf("constructor: %v", err)
+				}
+				b := NewBatcher(inner, BatchConfig{Size: 8, Window: time.Hour})
+				defer b.Close()
+
+				orders := make([][]Delivery, procs)
+				var readers sync.WaitGroup
+				for p := 0; p < procs; p++ {
+					readers.Add(1)
+					go func(p int) {
+						defer readers.Done()
+						orders[p] = testutil.Drain(t, 30*time.Second, b.Deliveries(p), total,
+							testutil.Source(fmt.Sprintf("proc %d transport", p), b.NetStats))
+					}(p)
+				}
+				var writers sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					writers.Add(1)
+					go func(w int) {
+						defer writers.Done()
+						for n := 0; n < perWorker; n++ {
+							if err := b.Broadcast(w%issuers, hammerMsg{w, n}, 8); err != nil {
+								t.Errorf("Broadcast: %v", err)
+								return
+							}
+						}
+					}(w)
+				}
+				writers.Wait()
+				readers.Wait()
+				if t.Failed() {
+					return
+				}
+
+				byProc := make(map[int][]Delivery, procs)
+				for p, ds := range orders {
+					byProc[p] = ds
+					next := make([]int, workers)
+					for i, d := range ds {
+						m := d.Payload.(hammerMsg)
+						if d.From != m.worker%issuers {
+							t.Fatalf("proc %d delivery %d = %+v: wrong sender", p, i, d)
+						}
+						if issuers == 1 && m.n != next[m.worker] {
+							t.Fatalf("proc %d delivery %d = %+v, want update %d of worker %d", p, i, d, next[m.worker], m.worker)
+						}
+						next[m.worker]++
+					}
+				}
+				checkAgreement(t, byProc)
+			})
+		}
+	}
+}
+
+// Coalescing must survive a coordinator crash: the sequencer fails over
+// under the Batcher, flushes that were in flight across the crash may
+// never come back to their issuer, and every update is still delivered
+// exactly once in one order at the live processes.
+func TestBatcherSequencerFailover(t *testing.T) {
+	inner, err := NewSequencer(SequencerConfig{
+		Procs: 4, Seed: 34, MaxDelay: time.Millisecond,
+		Faults: crashSchedule(0), FD: fdForTest(),
+	})
+	if err != nil {
+		t.Fatalf("NewSequencer: %v", err)
+	}
+	b := NewBatcher(inner, BatchConfig{Size: 4, Window: 2 * time.Millisecond})
+	defer b.Close()
+	runCoordinatorCrash(t, b, false)
+	if inner.Failovers() == 0 {
+		t.Fatal("leader crashed but no failover was performed")
 	}
 }
 

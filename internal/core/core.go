@@ -141,10 +141,14 @@ type Config struct {
 	// measure protocol cost).
 	DisableRecording bool
 	// BatchSize and BatchWindow enable group commit in the broadcast
-	// layer: updates queued within one window (or until BatchSize is
-	// reached) travel as a single BatchMsg frame through the atomic
-	// broadcaster and are applied as a contiguous run of the delivery
-	// order. Zero values keep today's one-frame-per-update behavior.
+	// layer: updates submitted while an earlier flush is still being
+	// ordered (at most BatchSize of them) travel as a single BatchMsg
+	// frame through the atomic broadcaster and are applied as a
+	// contiguous run of the delivery order. The batcher clocks itself:
+	// it flushes when the pipeline is idle and when its own flush is
+	// delivered back, so BatchWindow is not a fill wait but the longest
+	// an update waits when that delivery is lost (a crashed issuer).
+	// Zero values keep today's one-frame-per-update behavior.
 	// Broadcast consistencies only (MSequential, MLinearizable). In a
 	// multi-daemon deployment every daemon must use the same values.
 	BatchSize   int
@@ -467,10 +471,10 @@ func New(cfg Config) (*Store, error) {
 			return nil, err
 		}
 		if batching {
-			// Group commit: coalesce updates submitted within one window
-			// (or until BatchSize) into a single BatchMsg broadcast
-			// frame. The Batcher is itself a conforming Broadcaster, so
-			// the layers above are untouched.
+			// Group commit: coalesce updates submitted during one
+			// broadcast round (or until BatchSize) into a single BatchMsg
+			// broadcast frame. The Batcher is itself a conforming
+			// Broadcaster, so the layers above are untouched.
 			lane = abcast.NewBatcher(lane, abcast.BatchConfig{
 				Window: cfg.BatchWindow, Size: cfg.BatchSize,
 			})
@@ -834,7 +838,7 @@ func (s *Store) BroadcastCost() (int64, int64) {
 // flushes, flushes that coalesced two or more updates, and the updates
 // those multi-item batches carried. All zero when batching is off.
 func (s *Store) BatchStats() (flushes, batches, batched int64) {
-	if b, ok := s.bcast.(*abcast.Batcher); ok {
+	if b, ok := s.bcast.(abcast.BatchMeter); ok {
 		return b.BatchStats()
 	}
 	return 0, 0, 0

@@ -257,18 +257,21 @@ func (g *Group) MessageCost() (int64, int64) {
 func (g *Group) NetStats() network.Stats {
 	var out network.Stats
 	for _, l := range g.lanes {
-		st := l.NetStats()
-		out.Messages += st.Messages
-		out.Bytes += st.Bytes
-		out.Dropped += st.Dropped
-		out.Duplicated += st.Duplicated
-		out.Retransmitted += st.Retransmitted
-		out.Throttled += st.Throttled
-		out.Crashes += st.Crashes
-		out.Restarts += st.Restarts
-		out.Reconnects += st.Reconnects
+		out.Merge(l.NetStats())
 	}
 	return out
+}
+
+// BatchStats sums the group-commit meters of the lanes that batch (see
+// abcast.Batcher.BatchStats); all zero over unbatched lanes.
+func (g *Group) BatchStats() (flushes, batches, batched int64) {
+	for _, l := range g.lanes {
+		if b, ok := l.(abcast.BatchMeter); ok {
+			f, m, n := b.BatchStats()
+			flushes, batches, batched = flushes+f, batches+m, batched+n
+		}
+	}
+	return flushes, batches, batched
 }
 
 // Close shuts every lane down and waits for the pump goroutines before

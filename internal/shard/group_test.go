@@ -318,3 +318,51 @@ func TestGroupCloseIdempotent(t *testing.T) {
 		t.Error("broadcast after close accepted")
 	}
 }
+
+// statLane is a memLane that reports fixed transport counters and
+// group-commit meters, as a batching lane over a real transport does.
+type statLane struct {
+	*memLane
+	net                       network.Stats
+	flushes, batches, batched int64
+}
+
+func (l statLane) NetStats() network.Stats { return l.net }
+func (l statLane) BatchStats() (int64, int64, int64) {
+	return l.flushes, l.batches, l.batched
+}
+
+// The group's counters must be the sum of its lanes' — every field,
+// including the per-kind map and the writer-batch counters — and its
+// batch meters the sum over the lanes that batch.
+func TestGroupStatsSumLanes(t *testing.T) {
+	const procs = 2
+	m, err := NewMap(4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	laneStats := func(k int64) network.Stats {
+		return network.Stats{
+			Messages: k, Bytes: 2 * k, Dropped: 3 * k, Duplicated: 4 * k, Retransmitted: 5 * k,
+			Throttled: 6 * k, Crashes: 7 * k, Restarts: 8 * k, Reconnects: 9 * k,
+			Batches: 10 * k, BatchedFrames: 11 * k,
+			ByKind: map[string]network.KindStats{"abcast.req": {Messages: k, Bytes: 2 * k}},
+		}
+	}
+	g, err := NewGroup(GroupConfig{Procs: procs, Map: m, Lanes: []abcast.Broadcaster{
+		statLane{memLane: newMemLane(procs), net: laneStats(1), flushes: 5, batches: 2, batched: 7},
+		statLane{memLane: newMemLane(procs), net: laneStats(10), flushes: 50, batches: 20, batched: 70},
+		newMemLane(procs), // an unbatched lane has no meters to add
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+
+	if got, want := g.NetStats(), laneStats(11); !reflect.DeepEqual(got, want) {
+		t.Fatalf("NetStats = %+v, want %+v", got, want)
+	}
+	if f, b, n := g.BatchStats(); f != 55 || b != 22 || n != 77 {
+		t.Fatalf("BatchStats = (%d, %d, %d), want (55, 22, 77)", f, b, n)
+	}
+}
