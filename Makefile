@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet verify quick bench codec-gate chaos-smoke monitor-smoke shard-smoke batcher-loop bench-smoke
+.PHONY: build test race vet verify quick bench codec-gate chaos-smoke monitor-smoke shard-smoke batcher-loop completion-loop bench-smoke judge
 
 build:
 	$(GO) build ./...
@@ -21,13 +21,15 @@ race:
 
 # codec-gate = wire-codec checks that need a non-race build: the frame
 # fuzz seed corpus (every registered kind under both codecs, plus
-# hostile prefixes) and the send-path allocation gates. The race
+# hostile prefixes), the send-path allocation gates, and the m-SC
+# completion path's allocation ceilings. The race
 # detector disables sync.Pool reuse, which charges the pooled frame
 # buffer to every encode, so the zero-allocs assertions only hold
 # without -race — hence the separate invocation.
 codec-gate:
 	$(GO) test ./internal/transport/ -run 'FuzzReadFrame|TestSendPathZeroAllocs' -count=1
 	$(GO) test ./internal/bench/ -run TestE17EncodeCostSeparatesCodecs -count=1
+	$(GO) test ./internal/core/ -run TestExecAllocationCeiling -count=1
 	$(GO) test ./internal/shard/ -run FuzzRouting -count=1
 
 # shard-smoke = the sharding acceptance pair, race-instrumented: the
@@ -63,6 +65,22 @@ monitor-smoke:
 batcher-loop:
 	$(GO) test -race -count=20 -run 'Batcher' ./internal/abcast/
 
+# completion-loop = the completion-path race tests twenty times over
+# under the race detector: m-SC updates complete on the issuer's
+# delivery loop, racing a failed broadcast and Close for the one call of
+# their callback, and the RecordSink must see records in response order;
+# like the Batcher's, these races show only in a loop.
+completion-loop:
+	$(GO) test -race -count=20 -run 'RecordSink|Submit|BatcherCloseRaces' ./internal/core ./internal/msc ./internal/abcast
+
+# judge = rehearse a before/after benchmark comparison against PARENT
+# (any git revision): PAIRS alternating parent/change runs of every
+# workload, stopping at the first run that is not correct=true with
+# failed=0; scripts/judge.sh says what it prints.
+PAIRS ?= 10
+judge:
+	scripts/judge.sh $(PARENT) $(PAIRS)
+
 # bench-smoke = the repository benchmark (benchmark/README.md) with
 # one-second windows: every workload end to end with its correctness
 # gate on, so a change that leaves the tests green but makes a run
@@ -70,12 +88,12 @@ batcher-loop:
 bench-smoke:
 	$(GO) run -C benchmark moc/benchmark -smoke
 
-# verify = the tier-1 gate: vet + race-enabled tests + codec gates +
-# the Batcher race loop + the seeded chaos campaign + the
-# live-verification smoke. The full (non-short) interleaving soak and
+# verify = the tier-1 gate: vet + race-enabled tests + codec and
+# allocation gates + the Batcher and completion race loops + the seeded
+# chaos campaign + the live-verification smoke. The full (non-short) interleaving soak and
 # sharded chaos cell already run inside `race`; shard-smoke is the fast
 # standalone cut CI reuses.
-verify: vet race codec-gate batcher-loop chaos-smoke monitor-smoke
+verify: vet race codec-gate batcher-loop completion-loop chaos-smoke monitor-smoke
 
 # quick = the fast loop: -short trims the chaos/stress iteration counts.
 quick:

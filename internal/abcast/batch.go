@@ -275,7 +275,9 @@ func (b *Batcher) flushLocked() error {
 }
 
 // Deliveries returns p's renumbered, expanded delivery stream. The
-// expander goroutine is created on first use per process.
+// expander goroutine is created on first use per process; a closed
+// Batcher starts none (Close may already be waiting for the expanders),
+// so its streams stay silent.
 func (b *Batcher) Deliveries(p int) <-chan Delivery {
 	b.outMu.Lock()
 	defer b.outMu.Unlock()
@@ -284,8 +286,12 @@ func (b *Batcher) Deliveries(p int) <-chan Delivery {
 	}
 	out := make(chan Delivery, 256)
 	b.outs[p] = out
-	b.wg.Add(1)
-	go b.expand(p, out)
+	select {
+	case <-b.stop:
+	default:
+		b.wg.Add(1)
+		go b.expand(p, out)
+	}
 	return out
 }
 
@@ -349,7 +355,11 @@ func (b *Batcher) Close() {
 	b.closed = true
 	_ = b.flushLocked()
 	b.mu.Unlock()
+	// Under outMu, so no Deliveries call adds an expander to wg once
+	// the Wait below may have begun.
+	b.outMu.Lock()
 	close(b.stop)
+	b.outMu.Unlock()
 	b.inner.Close()
 	b.wg.Wait()
 }

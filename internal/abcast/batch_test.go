@@ -397,3 +397,24 @@ func TestBatcherConfigNormalization(t *testing.T) {
 		t.Fatalf("Window = %v, want a positive default", b2.cfg.Window)
 	}
 }
+
+// Deliveries racing Close must not add an expander to the WaitGroup
+// Close is already waiting on: that panics ("WaitGroup is reused before
+// previous Wait has returned", or "Add called concurrently with Wait").
+// A stream first asked for after Close starts nothing and stays silent.
+func TestBatcherCloseRacesDeliveries(t *testing.T) {
+	const procs = 4
+	for round := 0; round < 200; round++ {
+		b := NewBatcher(newScriptedInner(procs), BatchConfig{Size: 8, Window: time.Hour})
+		var wg sync.WaitGroup
+		for p := 0; p < procs; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				b.Deliveries(p)
+			}(p)
+		}
+		b.Close()
+		wg.Wait()
+	}
+}

@@ -174,8 +174,11 @@ type Config struct {
 	// record as it is captured (after lane renumbering), concurrently
 	// with execution. Daemons use it to append records to a crash-safe
 	// trace file so a SIGKILL loses at most the operations still in
-	// flight. The sink is called outside the store's record mutex and
-	// must be safe for concurrent use.
+	// flight. The sink is called under the store's record mutex, one
+	// record at a time in response order (strictly increasing Resp). It
+	// runs on the completing operation's path — for m-SC updates, the
+	// issuer's delivery loop — so it should return quickly, and it must
+	// not call back into the store.
 	RecordSink func(mop.Record)
 	// Shards partitions the object space into this many shards (object
 	// id mod Shards), each with its own independent atomic-broadcast
@@ -240,19 +243,18 @@ type executor interface {
 	Close()
 }
 
-// awaitFunc blocks until an asynchronously issued update completes.
-type awaitFunc func() (mop.Record, error)
-
-// submitFunc issues one update m-operation without waiting (the msc and
-// mlin ExecAsync paths, adapted to a common shape).
-type submitFunc func(proc int, pr mop.Procedure, opts mop.ExecOptions) (awaitFunc, error)
+// submitFunc issues one m-operation of process proc. done receives the
+// operation's record or error exactly once, possibly before submitFunc
+// returns; an error return means nothing was issued and done will not
+// be called.
+type submitFunc func(proc int, pr mop.Procedure, opts mop.ExecOptions, done func(mop.Record, error)) error
 
 // Store is a replicated multi-object shared memory.
 type Store struct {
 	cfg        Config
 	reg        *object.Registry
 	exec       executor
-	submit     submitFunc         // non-nil iff the executor pipelines updates
+	submit     submitFunc         // how every m-operation is issued and completed
 	bcast      abcast.Broadcaster // nil for the locking protocol
 	smap       *shard.Map         // non-nil iff Config.Shards > 1
 	mlinImpl   *mlin.Protocol     // non-nil iff Consistency == MLinearizable
@@ -270,9 +272,16 @@ type Store struct {
 	lastNano atomic.Int64
 	origin   time.Time
 
+	// mu is the record mutex: Resp stamping, the records append and the
+	// RecordSink call happen under it, so records are captured in
+	// response order. inFlight counts issued, not yet recorded
+	// m-operations; it is raised without mu but lowered under it after
+	// the append, so a reader that sees zero under mu holds the record of
+	// every operation issued so far — never a query without the update
+	// it read from.
 	mu        sync.Mutex
 	records   []mop.Record
-	inFlight  int
+	inFlight  atomic.Int64
 	lastBuild *buildResult // most recent reconstruction (quiescent state)
 
 	closed atomic.Bool
@@ -416,6 +425,7 @@ func New(cfg Config) (*Store, error) {
 			return nil, err
 		}
 		s.exec, s.causalImpl = p, p
+		s.submit = s.execInGoroutine
 		s.makeProcs()
 		return s, nil
 	}
@@ -431,6 +441,7 @@ func New(cfg Config) (*Store, error) {
 			return nil, err
 		}
 		s.exec, s.lockImpl = p, p
+		s.submit = s.execInGoroutine
 		s.makeProcs()
 		return s, nil
 	}
@@ -525,12 +536,14 @@ func New(cfg Config) (*Store, error) {
 		})
 		if err == nil {
 			s.exec = p
-			s.submit = func(proc int, pr mop.Procedure, opts mop.ExecOptions) (awaitFunc, error) {
-				ch, err := p.ExecAsync(proc, pr, opts)
-				if err != nil {
-					return nil, err
+			s.submit = func(proc int, pr mop.Procedure, opts mop.ExecOptions, done func(mop.Record, error)) error {
+				if pr.MayWrite() {
+					// A2: the issuer's delivery loop calls done.
+					return p.Submit(proc, pr, opts, done)
 				}
-				return func() (mop.Record, error) { out := <-ch; return out.Rec, out.Err }, nil
+				// A3: a query is a local read, so it runs on the caller.
+				done(p.Exec(proc, pr, opts))
+				return nil
 			}
 		}
 	case MLinearizable:
@@ -545,12 +558,21 @@ func New(cfg Config) (*Store, error) {
 		})
 		if err == nil {
 			s.exec, s.mlinImpl = p, p
-			s.submit = func(proc int, pr mop.Procedure, opts mop.ExecOptions) (awaitFunc, error) {
+			s.submit = func(proc int, pr mop.Procedure, opts mop.ExecOptions, done func(mop.Record, error)) error {
+				if !pr.MayWrite() {
+					return s.execInGoroutine(proc, pr, opts, done)
+				}
+				// Updates are issued here, so broadcast order follows
+				// call order; one goroutine waits for the completion.
 				ch, err := p.ExecAsync(proc, pr, opts)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				return func() (mop.Record, error) { out := <-ch; return out.Rec, out.Err }, nil
+				go func() {
+					out := <-ch
+					done(out.Rec, out.Err)
+				}()
+				return nil
 			}
 		}
 	default:
@@ -904,7 +926,8 @@ func (p *Process) Exec(pr mop.Procedure, opts ExecOptions) (Result, error) {
 // ExecAsync issues pr without waiting for its response. The call
 // blocks only while every issuing lane is occupied (MaxInflight
 // operations already outstanding); the returned Future resolves when
-// the operation's response event occurs. An operation in flight on
+// the operation's response event occurs — for an m-SC query, a local
+// read, before ExecAsync returns. An operation in flight on
 // lane l > 0 is recorded under the virtual process id id + l*Procs —
 // each lane is a sequential thread of control, so histories with
 // pipelining remain well-formed and checkable.
@@ -920,17 +943,19 @@ func (p *Process) ExecAsync(pr mop.Procedure, opts ExecOptions) (*Future, error)
 		return nil, ErrClosed
 	}
 
-	s.noteStart()
+	s.inFlight.Add(1)
 	f := &Future{done: make(chan struct{})}
-	finish := func(rec *mop.Record, err error) {
+	// The completion runs wherever the executor generates the response —
+	// for m-SC, the issuer's delivery loop or, for a query, this caller.
+	err := s.submit(p.id, pr, opts, func(rec mop.Record, err error) {
 		if err != nil {
-			s.noteEnd(nil)
+			s.inFlight.Add(-1)
 			f.err = err
 		} else {
 			if lane > 0 {
 				rec.Proc = p.id + lane*s.cfg.Procs
 			}
-			s.noteEnd(rec)
+			s.record(&rec)
 			f.result = Result{
 				Value:        rec.Result,
 				Level:        rec.Level,
@@ -940,50 +965,37 @@ func (p *Process) ExecAsync(pr mop.Procedure, opts ExecOptions) (*Future, error)
 		}
 		p.lanes <- lane
 		close(f.done)
+	})
+	if err != nil {
+		s.inFlight.Add(-1)
+		p.lanes <- lane
+		return nil, err
 	}
-
-	// Updates go through the protocol's pipelined submit path when the
-	// executor has one: issuance happens here (so broadcast order follows
-	// call order), only the wait is deferred.
-	if s.submit != nil && pr.MayWrite() {
-		wait, err := s.submit(p.id, pr, opts)
-		if err != nil {
-			s.noteEnd(nil)
-			p.lanes <- lane
-			return nil, err
-		}
-		go func() {
-			rec, err := wait()
-			finish(&rec, err)
-		}()
-		return f, nil
-	}
-
-	// Queries (and executors without a submit path) run synchronously in
-	// the completion goroutine, still occupying the lane.
-	go func() {
-		rec, err := s.exec.Exec(p.id, pr, opts)
-		finish(&rec, err)
-	}()
 	return f, nil
 }
 
-func (s *Store) noteStart() {
-	s.mu.Lock()
-	s.inFlight++
-	s.mu.Unlock()
+// execInGoroutine is the submit path of executors that only have a
+// blocking Exec: the operation runs on its own goroutine.
+func (s *Store) execInGoroutine(proc int, pr mop.Procedure, opts mop.ExecOptions, done func(mop.Record, error)) error {
+	go func() { done(s.exec.Exec(proc, pr, opts)) }()
+	return nil
 }
 
-func (s *Store) noteEnd(rec *mop.Record) {
+// record is the record step of a completed m-operation: under the
+// record mutex it stamps the response, appends the record and hands it
+// to the RecordSink, so records are captured in response order; then
+// the operation leaves the in-flight count.
+func (s *Store) record(rec *mop.Record) {
 	s.mu.Lock()
-	s.inFlight--
-	if rec != nil && !s.cfg.DisableRecording {
+	rec.Resp = s.now()
+	if !s.cfg.DisableRecording {
 		s.records = append(s.records, *rec)
 	}
-	s.mu.Unlock()
-	if rec != nil && s.cfg.RecordSink != nil {
+	if s.cfg.RecordSink != nil {
 		s.cfg.RecordSink(*rec)
 	}
+	s.inFlight.Add(-1)
+	s.mu.Unlock()
 }
 
 // Convenience operations built on Exec. Each takes the store's default

@@ -25,7 +25,7 @@ func (s *Store) buildHistory() (*history.History, []history.ID, error) {
 		return nil, nil, ErrRecordingDisabled
 	}
 	s.mu.Lock()
-	if s.inFlight != 0 {
+	if s.inFlight.Load() != 0 {
 		s.mu.Unlock()
 		return nil, nil, ErrInFlight
 	}

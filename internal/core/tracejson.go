@@ -70,7 +70,7 @@ func (s *Store) Trace(node int) (Trace, error) {
 		return Trace{}, fmt.Errorf("core: trace dump is not supported for %v", s.cfg.Consistency)
 	}
 	s.mu.Lock()
-	if s.inFlight != 0 {
+	if s.inFlight.Load() != 0 {
 		s.mu.Unlock()
 		return Trace{}, ErrInFlight
 	}

@@ -105,10 +105,11 @@ func (st *procState) footprintIDs(fp object.Set) []object.ID {
 }
 
 // pendingUpdate tracks one in-flight update from issuance (A1) to the
-// issuer's apply (A2): the completion channel and the invocation
-// timestamp captured at submit time.
+// issuer's apply (A2): the completion callback and the invocation
+// timestamp captured at submit time. Whoever deletes it from
+// procState.pending under st.mu owns the one call of done.
 type pendingUpdate struct {
-	done chan mop.Outcome
+	done func(mop.Record, error)
 	inv  int64
 }
 
@@ -189,12 +190,8 @@ func (p *Protocol) Exec(proc int, pr mop.Procedure, opts mop.ExecOptions) (mop.R
 		if err != nil {
 			return mop.Record{}, err
 		}
-		select {
-		case out := <-done:
-			return out.Rec, out.Err
-		case <-p.stop:
-			return mop.Record{}, ErrClosed
-		}
+		out := <-done
+		return out.Rec, out.Err
 	}
 	if p.closed.Load() {
 		return mop.Record{}, ErrClosed
@@ -205,37 +202,69 @@ func (p *Protocol) Exec(proc int, pr mop.Procedure, opts mop.ExecOptions) (mop.R
 	return p.executeQuery(proc, pr, opts.Level)
 }
 
-// ExecAsync submits an update m-operation (A1) without waiting for
-// the issuer's apply (A2) and returns a one-shot completion channel:
-// the pipelined issuance path. Any number of updates may be in flight
-// per process; the broadcast order fixes their relative order, and each
-// completes with Inv stamped at submission and Resp at local apply.
-// Close fulfills every still-pending completion with ErrClosed.
-func (p *Protocol) ExecAsync(proc int, pr mop.Procedure, _ mop.ExecOptions) (<-chan mop.Outcome, error) {
-	if p.closed.Load() {
-		return nil, ErrClosed
+// ExecAsync is Submit with a one-shot completion channel; the record it
+// delivers has Resp stamped when the issuer's apply completes it.
+func (p *Protocol) ExecAsync(proc int, pr mop.Procedure, opts mop.ExecOptions) (<-chan mop.Outcome, error) {
+	ch := make(chan mop.Outcome, 1)
+	err := p.Submit(proc, pr, opts, func(rec mop.Record, err error) {
+		if err == nil {
+			rec.Resp = p.cfg.Clock()
+		}
+		ch <- mop.Outcome{Rec: rec, Err: err}
+	})
+	if err != nil {
+		return nil, err
 	}
+	return ch, nil
+}
+
+// Submit issues an update m-operation (A1) without waiting for the
+// issuer's apply (A2): the pipelined issuance path. Any number of
+// updates may be in flight per process; the broadcast order fixes their
+// relative order. done receives the response with Inv stamped at
+// submission and Resp left zero: done runs right after the local apply,
+// so the caller stamps Resp at its own response step. done is called
+// exactly once, without any protocol lock held: by the issuer's
+// delivery loop (A2: "the issuing process generates the response"), or
+// with an error when the update is subsumed by a recovery checkpoint,
+// its broadcast fails, or Close finds it pending. Because the delivery
+// loop calls it, done must not block for long and must not call Close.
+// An error return means the update was not issued and done will not be
+// called.
+func (p *Protocol) Submit(proc int, pr mop.Procedure, _ mop.ExecOptions, done func(mop.Record, error)) error {
 	if proc < 0 || proc >= p.cfg.Procs {
-		return nil, fmt.Errorf("msc: invalid process %d", proc)
+		return fmt.Errorf("msc: invalid process %d", proc)
 	}
 	if !pr.MayWrite() {
-		return nil, errors.New("msc: ExecAsync requires an update m-operation")
+		return errors.New("msc: Submit requires an update m-operation")
 	}
 	st := p.states[proc]
 	reqID := p.nextID.Add(1)
-	pu := &pendingUpdate{done: make(chan mop.Outcome, 1), inv: p.cfg.Clock()}
+	pu := &pendingUpdate{done: done, inv: p.cfg.Clock()}
 	st.mu.Lock()
+	// Checked under st.mu: Close sets closed before it takes the pending
+	// maps, so an update registered here is either seen by Close or not
+	// registered at all.
+	if p.closed.Load() {
+		st.mu.Unlock()
+		return ErrClosed
+	}
 	st.pending[reqID] = pu
 	st.mu.Unlock()
 
 	payload := updatePayload{ReqID: reqID, From: proc, Proc: pr}
 	if err := p.cfg.Broadcast.Broadcast(proc, payload, mop.PayloadBytes(pr)); err != nil {
+		// The update may still have been ordered, or Close may have
+		// swept it: complete it here only if it is still pending.
 		st.mu.Lock()
+		_, mine := st.pending[reqID]
 		delete(st.pending, reqID)
 		st.mu.Unlock()
-		return nil, fmt.Errorf("msc: broadcast: %w", err)
+		if mine {
+			done(mop.Record{}, fmt.Errorf("msc: broadcast: %w", err))
+		}
 	}
-	return pu.done, nil
+	return nil
 }
 
 // executeQuery implements A3: apply to the local copy, atomically over
@@ -303,20 +332,28 @@ func (p *Protocol) executeQuery(proc int, pr mop.Procedure, level history.Level)
 	}, nil
 }
 
-// deliveryLoop implements A2 for one process.
+// deliveryLoop implements A2 for one process. The issuer's own updates
+// complete here: their done callbacks run on this goroutine, after
+// st.mu is released.
 func (p *Protocol) deliveryLoop(proc int) {
 	defer p.wg.Done()
 	st := p.states[proc]
+	deliveries := p.cfg.Broadcast.Deliveries(proc)
 	for {
 		select {
 		case <-p.stop:
 			return
-		case d := <-p.cfg.Broadcast.Deliveries(proc):
+		case d := <-deliveries:
 			payload, ok := d.Payload.(updatePayload)
 			if !ok {
 				continue
 			}
 			st.mu.Lock()
+			var pu *pendingUpdate
+			if payload.From == proc {
+				pu = st.pending[payload.ReqID]
+				delete(st.pending, payload.ReqID)
+			}
 			if d.Shards == nil && d.Seq < st.applied {
 				// Already covered by an adopted recovery checkpoint: the
 				// effects are in the replica state, so applying again would
@@ -325,69 +362,64 @@ func (p *Protocol) deliveryLoop(proc int) {
 				// Sharded composite Seqs are not monotone per replica
 				// stream (and recovery is disabled under sharding), so the
 				// skip only applies to single-lane deliveries.
-				var pu *pendingUpdate
-				if payload.From == proc {
-					pu = st.pending[payload.ReqID]
-					delete(st.pending, payload.ReqID)
-				}
 				st.mu.Unlock()
 				if pu != nil {
-					pu.done <- mop.Outcome{Err: errors.New("msc: update subsumed by recovery checkpoint")}
+					pu.done(mop.Record{}, errors.New("msc: update subsumed by recovery checkpoint"))
 				}
 				continue
 			}
-			rec, err := st.applyUpdate(payload.Proc, payload.From, d.Seq)
+			rec, err := st.applyUpdate(payload.Proc, payload.From, d.Seq, pu != nil)
 			if d.Shards == nil {
 				st.applied = d.Seq + 1
 			}
-			var pu *pendingUpdate
-			if payload.From == proc {
-				pu = st.pending[payload.ReqID]
-				delete(st.pending, payload.ReqID)
-			}
 			st.mu.Unlock()
 			if pu != nil {
-				// A2: "the issuing process generates the response" — Resp is
-				// stamped at local apply time, Inv was stamped at submission.
+				// A2: "the issuing process generates the response" — Inv was
+				// stamped at submission; done stamps Resp.
 				rec.Inv = pu.inv
-				rec.Resp = p.cfg.Clock()
 				rec.Level = history.LevelAll
 				rec.IsConsistent = true
-				pu.done <- mop.Outcome{Rec: rec, Err: err}
+				pu.done(rec, err)
 			}
 		}
 	}
 }
 
 // applyUpdate runs update pr against the replica (A2), bumping version
-// timestamps for written objects, and captures the Record. The caller
-// must hold st.mu (the writer mutex); applyUpdate additionally
-// write-locks the footprint so concurrent footprint-disjoint queries
-// keep running. The full-vector timestamp clones are race-safe even for
-// entries outside the footprint: st.mu excludes every other writer, and
-// queries only read.
+// timestamps for written objects, and captures the Record when issuer
+// is set — only the issuing process responds, so the other replicas
+// build none. The caller must hold st.mu (the writer mutex);
+// applyUpdate additionally write-locks the footprint so concurrent
+// footprint-disjoint queries keep running. The full-vector timestamp
+// clones are race-safe even for entries outside the footprint: st.mu
+// excludes every other writer, and queries only read.
 //
 // A contract violation (write by a query, footprint escape) aborts the
 // remaining accesses deterministically — every replica observes the same
 // prefix of effects — so replicas stay identical; the error is reported
 // to the issuer.
-func (st *procState) applyUpdate(pr mop.Procedure, proc int, seq int64) (mop.Record, error) {
+func (st *procState) applyUpdate(pr mop.Procedure, proc int, seq int64, issuer bool) (mop.Record, error) {
 	fp := pr.Footprint()
 	ids := st.footprintIDs(fp)
 	for _, x := range ids {
 		st.locks[x].Lock()
 	}
-	tsStart := st.ts.Clone()
+	var tsStart, tsEnd timestamp.TS
+	if issuer {
+		tsStart = st.ts.Clone()
+	}
 	rec := mop.NewRecorder(st.values, pr)
 	result := pr.Run(rec)
 	for _, x := range rec.Written().IDs() {
 		st.ts.Bump(x)
 	}
-	tsEnd := st.ts.Clone()
+	if issuer {
+		tsEnd = st.ts.Clone()
+	}
 	for i := len(ids) - 1; i >= 0; i-- {
 		st.locks[ids[i]].Unlock()
 	}
-	if err := rec.Err(); err != nil {
+	if err := rec.Err(); err != nil || !issuer {
 		return mop.Record{}, err
 	}
 	return mop.Record{
@@ -463,10 +495,11 @@ func (p *Protocol) Close() {
 	p.wg.Wait()
 	for _, st := range p.states {
 		st.mu.Lock()
-		for id, pu := range st.pending {
-			pu.done <- mop.Outcome{Err: ErrClosed}
-			delete(st.pending, id)
-		}
+		pending := st.pending
+		st.pending = make(map[int64]*pendingUpdate)
 		st.mu.Unlock()
+		for _, pu := range pending {
+			pu.done(mop.Record{}, ErrClosed)
+		}
 	}
 }

@@ -1,7 +1,10 @@
 package msc
 
 import (
+	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -218,5 +221,103 @@ func TestStaleLocalReadIsPossible(t *testing.T) {
 	}
 	if !stale {
 		t.Fatal("no stale local read observed in 40 trials — query locality broken?")
+	}
+}
+
+// failingBroadcast reports every third Broadcast as failed: one of each
+// two such updates is dropped, the other is still ordered (a connection
+// that broke after the write) and reported late, so its delivery
+// usually beats the failure path.
+type failingBroadcast struct {
+	abcast.Broadcaster
+	n atomic.Int64
+}
+
+func (f *failingBroadcast) Broadcast(from int, payload any, bytes int) error {
+	switch f.n.Add(1) % 6 {
+	case 0:
+		return errors.New("injected broadcast failure")
+	case 3:
+		_ = f.Broadcaster.Broadcast(from, payload, bytes)
+		time.Sleep(100 * time.Microsecond)
+		return errors.New("injected broadcast failure after send")
+	}
+	return f.Broadcaster.Broadcast(from, payload, bytes)
+}
+
+// notHeld reports whether st.mu can be taken within a second. Other
+// goroutines hold it only briefly; a caller that ran done under it
+// would hold it for as long as done runs.
+func notHeld(st *procState) bool {
+	deadline := time.Now().Add(time.Second)
+	for !st.mu.TryLock() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		runtime.Gosched()
+	}
+	st.mu.Unlock()
+	return true
+}
+
+// TestSubmitCompletesOnce races the four completion paths — the
+// delivery loop, a failed Broadcast and Close (the recovery-subsumed
+// path shares the delivery loop's arbiter) — against each other: every
+// accepted Submit's done runs exactly once and never under st.mu, and a
+// refused Submit's never runs.
+func TestSubmitCompletesOnce(t *testing.T) {
+	const procs, submitters, each = 3, 6, 30
+	for round := 0; round < 30; round++ {
+		b, err := abcast.NewSequencer(abcast.SequencerConfig{Procs: procs, Seed: int64(round)})
+		if err != nil {
+			t.Fatalf("NewSequencer: %v", err)
+		}
+		p, err := New(Config{Procs: procs, Reg: object.Sequential(2), Broadcast: &failingBroadcast{Broadcaster: b}})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		var (
+			calls    [submitters * each]atomic.Int32
+			accepted [submitters * each]bool
+			total    atomic.Int64
+			underMu  atomic.Bool
+			wg       sync.WaitGroup
+		)
+		for s := 0; s < submitters; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				proc := s % procs
+				st := p.states[proc]
+				for j := 0; j < each; j++ {
+					i := s*each + j
+					err := p.Submit(proc, mop.WriteOp{X: object.ID(j % 2), V: object.Value(i)}, mop.ExecOptions{}, func(mop.Record, error) {
+						// One report is enough; later calls skip the wait.
+						if !underMu.Load() && !notHeld(st) {
+							underMu.Store(true)
+							t.Errorf("done of update %d ran under st.mu", i)
+						}
+						calls[i].Add(1)
+						total.Add(1)
+					})
+					accepted[i] = err == nil
+				}
+			}(s)
+		}
+		// Close lands while submissions and deliveries are still running.
+		for deadline := time.Now().Add(time.Second); total.Load() < int64(round) && time.Now().Before(deadline); {
+			time.Sleep(20 * time.Microsecond)
+		}
+		p.Close()
+		wg.Wait()
+		for i := range calls {
+			want := int32(0)
+			if accepted[i] {
+				want = 1
+			}
+			if got := calls[i].Load(); got != want {
+				t.Fatalf("round %d: update %d (accepted %v): done ran %d times", round, i, accepted[i], got)
+			}
+		}
 	}
 }

@@ -7,17 +7,16 @@ import (
 )
 
 // Merger folds per-node record streams into one global response-order
-// stream. Each node's records arrive approximately response-ordered
-// (core calls RecordSink outside the store mutex, so two lanes
-// completing microseconds apart can invert), so records are buffered in
-// a per-node min-heap keyed by response time and released only up to
-// the global watermark:
+// stream. Each node's records arrive response-ordered (core stamps Resp
+// and calls RecordSink under one mutex); records are buffered in a
+// per-node min-heap keyed by response time and released only up to the
+// global watermark:
 //
 //	release point = min over live streams of (max Resp seen − slack)
 //
-// The slack absorbs intra-node sink-order inversions; a record arriving
-// below the release point anyway (an inversion larger than the slack)
-// is still released — immediately, out of global order — and the
+// The slack is headroom for a stream that is not in order (a trace from
+// another writer, say); a record arriving below the release point
+// anyway is still released — immediately, out of global order — and the
 // downstream monitor reports the feed-order break rather than the
 // merger hiding it. A stream stops holding the watermark once it Fins
 // (clean daemon drain) or is superseded by a newer generation of the

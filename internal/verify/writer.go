@@ -2,7 +2,6 @@ package verify
 
 import (
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -38,10 +37,10 @@ type WriterConfig struct {
 // batches completed records and ships them to the verification service,
 // surviving service restarts and its own disconnects.
 //
-// Records are buffered, sorted by response time (fixing the sink-order
-// inversions core's lock-free sink call permits, within one flush
-// window), stamped with contiguous per-generation sequence numbers at
-// flush time, and retained until the service Acks them — a reconnect
+// Records are buffered in arrival order, which is response order (core
+// calls its RecordSink in response order), stamped with contiguous
+// per-generation sequence numbers at flush time, and retained until the
+// service Acks them — a reconnect
 // replays everything unacked, and the service drops resend duplicates
 // by sequence number. Append never blocks on the network: with the
 // service down, records accumulate in memory (the retention buffer is
@@ -52,7 +51,7 @@ type StreamWriter struct {
 	gen int64
 
 	mu       sync.Mutex
-	pending  []mop.Record // unsequenced, unsorted
+	pending  []mop.Record // unsequenced, in response order
 	retained []Rec        // sequenced, awaiting Ack
 	firstRet int64        // sequence number of retained[0]
 	nextSeq  int64
@@ -138,15 +137,11 @@ func (w *StreamWriter) Stats() (sent, skipped, reconnects int64) {
 	return
 }
 
-// seal moves pending into retained: sorted by response time, stamped
-// with the next sequence numbers. Returns the retained tail to send.
+// seal moves pending into retained, stamped with the next sequence
+// numbers.
 func (w *StreamWriter) seal() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if len(w.pending) == 0 {
-		return
-	}
-	sort.SliceStable(w.pending, func(i, j int) bool { return w.pending[i].Resp < w.pending[j].Resp })
 	for _, rec := range w.pending {
 		r, ok := ToWire(rec)
 		if !ok {
