@@ -38,9 +38,14 @@ func newClusterStore(tb testing.TB, cfg Config) *Store {
 // TestRecordSinkResponseOrder: the RecordSink sees every record once, in
 // strictly increasing response order, and never two calls at once. The
 // sink takes no lock of its own, so under -race a concurrent call is
-// also a reported data race.
+// also a reported data race. m-lin queries draw every level, so strong
+// queries complete from the protocol's loops beside local reads.
 func TestRecordSinkResponseOrder(t *testing.T) {
 	for _, cons := range []Consistency{MSequential, MLinearizable} {
+		levels := []Level{One}
+		if cons == MLinearizable {
+			levels = []Level{One, Quorum, All}
+		}
 		for _, shards := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%v/shards=%d", cons, shards), func(t *testing.T) {
 				var (
@@ -78,7 +83,8 @@ func TestRecordSinkResponseOrder(t *testing.T) {
 								if j%4 == 3 {
 									op = mop.ReadOp{X: x}
 								}
-								if _, err := p.Exec(op, ExecOptions{Level: One}); err != nil {
+								level := levels[(lane+j/4)%len(levels)]
+								if _, err := p.Exec(op, ExecOptions{Level: level}); err != nil {
 									t.Errorf("P%d lane %d: %v", i, lane, err)
 									return
 								}
@@ -102,50 +108,61 @@ func TestRecordSinkResponseOrder(t *testing.T) {
 	}
 }
 
-// BenchmarkExecQueryMSC is one m-SC query through Process.Exec: a local
-// read (A3) run on the caller, recorded, and returned.
-func BenchmarkExecQueryMSC(b *testing.B) {
-	s, err := New(Config{Procs: 3, Objects: []string{"x", "y"}, Consistency: MSequential, DisableRecording: true})
+// benchLone runs op(i) through Process.Exec of process proc, one
+// operation at a time, on a 3-process store over the simulated network
+// without batching.
+func benchLone(b *testing.B, cons Consistency, proc int, opts ExecOptions, op func(i int) mop.Procedure) {
+	s, err := New(Config{Procs: 3, Objects: []string{"x", "y"}, Consistency: cons, DisableRecording: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	p, _ := s.Process(0)
+	p, _ := s.Process(proc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Exec(mop.ReadOp{X: 0}, ExecOptions{}); err != nil {
+		if _, err := p.Exec(op(i), opts); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkExecUpdateMSC is one m-SC update at a time through
-// Process.Exec over the simulated network without batching: with
-// nothing else in flight, its allocations per operation do not depend
-// on scheduling, so it carries the update path's allocation ceiling.
-func BenchmarkExecUpdateMSC(b *testing.B) {
-	s, err := New(Config{Procs: 3, Objects: []string{"x", "y"}, Consistency: MSequential, DisableRecording: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	p, _ := s.Process(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Exec(mop.WriteOp{X: object.ID(i % 2), V: object.Value(i)}, ExecOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
+func readX(int) mop.Procedure { return mop.ReadOp{X: 0} }
+
+func writeXY(i int) mop.Procedure { return mop.WriteOp{X: object.ID(i % 2), V: object.Value(i)} }
+
+// BenchmarkExecQueryMSC is one m-SC query through Process.Exec: a local
+// read (A3) run on the caller, recorded, and returned.
+func BenchmarkExecQueryMSC(b *testing.B) { benchLone(b, MSequential, 0, ExecOptions{}, readX) }
+
+// BenchmarkExecUpdateMSC is one m-SC update at a time: with nothing
+// else in flight, its allocations per operation barely depend on
+// scheduling, so it carries the update path's allocation ceiling.
+func BenchmarkExecUpdateMSC(b *testing.B) { benchLone(b, MSequential, 1, ExecOptions{}, writeXY) }
+
+// BenchmarkExecQueryMLin is one QUORUM query at a time: the query
+// round, the read barrier and the completion from the message loop.
+func BenchmarkExecQueryMLin(b *testing.B) {
+	benchLone(b, MLinearizable, 0, ExecOptions{Level: Quorum}, readX)
 }
+
+// BenchmarkExecUpdateMLin is one m-lin update at a time: the broadcast,
+// the three applies, the write quorum's acks and the completion from
+// whichever loop records the deciding ack.
+func BenchmarkExecUpdateMLin(b *testing.B) { benchLone(b, MLinearizable, 1, ExecOptions{}, writeXY) }
 
 // BenchmarkExecUpdatePipelinedMSC keeps 32 m-SC updates of one process
 // in flight through ExecAsync over the loopback cluster, so allocs/op
 // counts every allocation an update costs the whole system: issuance,
 // batching, ordering, transport, the three applies and the completion.
-func BenchmarkExecUpdatePipelinedMSC(b *testing.B) {
-	s := newClusterStore(b, Config{Consistency: MSequential, DisableRecording: true})
+func BenchmarkExecUpdatePipelinedMSC(b *testing.B) { benchPipelined(b, MSequential) }
+
+// BenchmarkExecUpdatePipelinedMLin is the pipelined shape for m-lin,
+// whose updates add the write quorum's acks.
+func BenchmarkExecUpdatePipelinedMLin(b *testing.B) { benchPipelined(b, MLinearizable) }
+
+func benchPipelined(b *testing.B, cons Consistency) {
+	s := newClusterStore(b, Config{Consistency: cons, DisableRecording: true})
 	p, _ := s.Process(1)
 	var ring [32]*Future
 	b.ReportAllocs()

@@ -176,9 +176,9 @@ type Config struct {
 	// trace file so a SIGKILL loses at most the operations still in
 	// flight. The sink is called under the store's record mutex, one
 	// record at a time in response order (strictly increasing Resp). It
-	// runs on the completing operation's path — for m-SC updates, the
-	// issuer's delivery loop — so it should return quickly, and it must
-	// not call back into the store.
+	// runs on the completing operation's path — for the broadcast
+	// protocols, one of their delivery or message loops or timers — so it
+	// should return quickly, and it must not call back into the store.
 	RecordSink func(mop.Record)
 	// Shards partitions the object space into this many shards (object
 	// id mod Shards), each with its own independent atomic-broadcast
@@ -557,23 +557,10 @@ func New(cfg Config) (*Store, error) {
 			Shards: cfg.Shards,
 		})
 		if err == nil {
-			s.exec, s.mlinImpl = p, p
-			s.submit = func(proc int, pr mop.Procedure, opts mop.ExecOptions, done func(mop.Record, error)) error {
-				if !pr.MayWrite() {
-					return s.execInGoroutine(proc, pr, opts, done)
-				}
-				// Updates are issued here, so broadcast order follows
-				// call order; one goroutine waits for the completion.
-				ch, err := p.ExecAsync(proc, pr, opts)
-				if err != nil {
-					return err
-				}
-				go func() {
-					out := <-ch
-					done(out.Rec, out.Err)
-				}()
-				return nil
-			}
+			// Submit completes every m-operation on the goroutine that
+			// sees its last event: a protocol loop, a query timer, or —
+			// for a ONE query — this caller.
+			s.exec, s.mlinImpl, s.submit = p, p, p.Submit
 		}
 	default:
 		bcast.Close()
@@ -926,11 +913,11 @@ func (p *Process) Exec(pr mop.Procedure, opts ExecOptions) (Result, error) {
 // ExecAsync issues pr without waiting for its response. The call
 // blocks only while every issuing lane is occupied (MaxInflight
 // operations already outstanding); the returned Future resolves when
-// the operation's response event occurs — for an m-SC query, a local
-// read, before ExecAsync returns. An operation in flight on
-// lane l > 0 is recorded under the virtual process id id + l*Procs —
-// each lane is a sequential thread of control, so histories with
-// pipelining remain well-formed and checkable.
+// the operation's response event occurs — for a local read (an m-SC
+// query or an m-lin ONE query), before ExecAsync returns. An operation
+// in flight on lane l > 0 is recorded under the virtual process id
+// id + l*Procs — each lane is a sequential thread of control, so
+// histories with pipelining remain well-formed and checkable.
 func (p *Process) ExecAsync(pr mop.Procedure, opts ExecOptions) (*Future, error) {
 	s := p.store
 	if s.closed.Load() {
@@ -945,8 +932,10 @@ func (p *Process) ExecAsync(pr mop.Procedure, opts ExecOptions) (*Future, error)
 
 	s.inFlight.Add(1)
 	f := &Future{done: make(chan struct{})}
-	// The completion runs wherever the executor generates the response —
-	// for m-SC, the issuer's delivery loop or, for a query, this caller.
+	// The completion runs wherever the executor generates the response:
+	// for m-SC and m-lin, on one of the protocol's loops or timers or,
+	// for a local read, this caller; for oolock and causal, on a
+	// goroutine of its own.
 	err := s.submit(p.id, pr, opts, func(rec mop.Record, err error) {
 		if err != nil {
 			s.inFlight.Add(-1)
@@ -975,7 +964,8 @@ func (p *Process) ExecAsync(pr mop.Procedure, opts ExecOptions) (*Future, error)
 }
 
 // execInGoroutine is the submit path of executors that only have a
-// blocking Exec: the operation runs on its own goroutine.
+// blocking Exec (oolock and causal): the operation runs on its own
+// goroutine.
 func (s *Store) execInGoroutine(proc int, pr mop.Procedure, opts mop.ExecOptions, done func(mop.Record, error)) error {
 	go func() { done(s.exec.Exec(proc, pr, opts)) }()
 	return nil

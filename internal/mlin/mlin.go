@@ -181,25 +181,37 @@ type procState struct {
 	cond  *sync.Cond
 }
 
+// queryState is a strong query's state machine, driven under st.mu by
+// the loops and timer that see its events (see advance).
 type queryState struct {
+	pr    mop.Procedure
+	level history.Level
+	inv   int64
+	msg   queryMsg // re-sent by re-solicitations and barrier probes
+	bytes int
+	// timer is the response deadline of a bounded query, then the
+	// barrier's re-probe; retries counts the re-sends left in the phase.
+	timer   *time.Timer
+	retries int
+
 	othX  []object.Value
 	othts timestamp.TS
-	// need is the number of responses that completes the query (Procs
-	// for ALL, a majority for QUORUM); waiting counts down from it.
-	need    int
+	// waiting counts down the responses that complete the query (Procs
+	// for ALL, a majority for QUORUM).
 	waiting int
 	// responded marks which processes have been merged into othX/othts,
 	// so the duplicate responses that re-solicitation provokes are
 	// merged (and counted) at most once per process — and so the
 	// completed query can report exactly which replicas it observed.
-	responded []bool
+	responded  []bool
+	responders []int // fixed when the query enters the read barrier
 	// respApplied is the componentwise-largest applied vector advertised
 	// by any merged response: the per-shard prefix the merged copy is
 	// known to cover (each component came from a response whose values
 	// reflect at least that shard prefix, and the per-object max merge
 	// preserves coverage per shard).
 	respApplied []int64
-	done        chan struct{}
+	done        func(mop.Record, error)
 
 	// Read-barrier state (the SC-ABD write-back analogue; see the
 	// package comment). appliedBy[r] is the componentwise-largest
@@ -207,15 +219,14 @@ type queryState struct {
 	// until heard from) — unlike the merge, it keeps absorbing
 	// duplicate and post-completion responses, since barrier re-probes
 	// exist precisely to refresh it. barrier, once non-nil, is the
-	// covered prefix the merged copy reflects; barrierCh closes when a
+	// covered prefix the merged copy reflects; barrierDone is set when a
 	// majority of replicas is known to have applied it.
 	appliedBy   [][]int64
 	barrier     []int64
 	barrierDone bool
-	barrierCh   chan struct{}
 }
 
-// noteEvidence closes barrierCh once a majority of replicas is known to
+// noteEvidence sets barrierDone once a majority of replicas is known to
 // have applied the barrier prefix (componentwise dominance). Callers
 // hold the proc's state mutex.
 func (qs *queryState) noteEvidence(quorum int) {
@@ -230,7 +241,6 @@ func (qs *queryState) noteEvidence(quorum int) {
 	}
 	if n >= quorum {
 		qs.barrierDone = true
-		close(qs.barrierCh)
 	}
 }
 
@@ -293,13 +303,13 @@ type queryToucher interface {
 }
 
 // pendingUpdate tracks one in-flight update from issuance (A1) through
-// the write quorum: the completion channel, the invocation timestamp
+// the write quorum: the completion callback, the invocation timestamp
 // captured at submit time, and the write-phase state — the outcome of
 // the issuer's own apply (A2) plus the set of replicas known to have
 // applied the update. The update responds only once a majority has
 // (the SC-ABD write rule); see the package comment.
 type pendingUpdate struct {
-	done chan mop.Outcome
+	done func(mop.Record, error)
 	inv  int64
 	// rec/applyErr hold the issuer-apply outcome until the ack count
 	// reaches a majority; applied marks that they are set.
@@ -418,76 +428,73 @@ func (p *Protocol) need(level history.Level) int {
 // reads the local copy, QUORUM waits for a majority, ALL (and the zero
 // level) for every process. Each sequential thread of control
 // corresponds to one caller; distinct callers may share a process id
-// concurrently only through ExecAsync's pipelined update path (the
+// concurrently only through Submit's pipelined update path (the
 // store layer keeps their recorded histories well-formed by modelling
 // each issuing lane as its own process). Queries remain safe to issue
-// concurrently with in-flight updates.
+// concurrently with in-flight updates. Exec is a blocking wrapper over
+// Submit that stamps Resp.
 func (p *Protocol) Exec(proc int, pr mop.Procedure, opts mop.ExecOptions) (mop.Record, error) {
-	if pr.MayWrite() {
-		done, err := p.ExecAsync(proc, pr, opts)
-		if err != nil {
-			return mop.Record{}, err
-		}
-		select {
-		case out := <-done:
-			return out.Rec, out.Err
-		case <-p.stop:
-			return mop.Record{}, ErrClosed
-		}
+	var rec mop.Record
+	ch := make(chan error, 1)
+	if err := p.Submit(proc, pr, opts, func(r mop.Record, err error) { rec = r; ch <- err }); err != nil {
+		return mop.Record{}, err
 	}
-	if p.closed.Load() {
-		return mop.Record{}, ErrClosed
-	}
-	if proc < 0 || proc >= p.cfg.Procs {
-		return mop.Record{}, fmt.Errorf("mlin: invalid process %d", proc)
-	}
-	switch opts.Level {
-	case history.LevelDefault, history.LevelOne, history.LevelQuorum, history.LevelAll:
-	default:
-		return mop.Record{}, fmt.Errorf("mlin: invalid consistency level %d", int(opts.Level))
-	}
-	if opts.Level == history.LevelOne {
-		return p.executeLocalQuery(proc, pr)
-	}
-	return p.executeQuery(proc, pr, opts.Level)
+	err := <-ch
+	rec.Resp = p.cfg.Clock()
+	return rec, err
 }
 
-// ExecAsync submits an update m-operation (A1, the same broadcast the
-// m-SC protocol issues) without waiting for its completion and returns
-// a one-shot completion channel: the pipelined issuance path. Any
-// number of updates may be in flight per process; the broadcast order
-// fixes their relative order, and each completes with Inv stamped at
-// submission and Resp once a majority of replicas has acknowledged
-// applying it (the write quorum — see the package comment). Close
-// fulfills every still-pending completion with ErrClosed.
-func (p *Protocol) ExecAsync(proc int, pr mop.Procedure, opts mop.ExecOptions) (<-chan mop.Outcome, error) {
-	if p.closed.Load() {
-		return nil, ErrClosed
-	}
+// Submit issues m-operation pr without waiting for its completion; done
+// gets the record (Inv stamped, Resp left to the caller) or an error
+// exactly once, never under a protocol lock, on the goroutine that
+// completes it: a ONE query on the caller, a strong query on the loop
+// or timer that settles its read barrier, an update (A1) on the loop
+// that sees a majority of replicas acknowledge applying it (the write
+// quorum — see the package comment). Close fails what is pending with
+// ErrClosed; the delete from a pending map under the state mutex picks
+// the one completer. done must not block for long or call Close. An
+// error return means nothing was issued and done will not be called.
+func (p *Protocol) Submit(proc int, pr mop.Procedure, opts mop.ExecOptions, done func(mop.Record, error)) error {
 	if proc < 0 || proc >= p.cfg.Procs {
-		return nil, fmt.Errorf("mlin: invalid process %d", proc)
+		return fmt.Errorf("mlin: invalid process %d", proc)
 	}
 	if !pr.MayWrite() {
-		return nil, errors.New("mlin: ExecAsync requires an update m-operation")
+		switch opts.Level {
+		case history.LevelDefault, history.LevelQuorum, history.LevelAll:
+			return p.executeQuery(proc, pr, opts.Level, done)
+		case history.LevelOne:
+			done(p.executeLocalQuery(proc, pr))
+			return nil
+		}
+		return fmt.Errorf("mlin: invalid consistency level %d", int(opts.Level))
 	}
 	st := p.states[proc]
 	reqID := p.nextID.Add(1)
 	pu := &pendingUpdate{
-		done:    make(chan mop.Outcome, 1),
+		done:    done,
 		inv:     p.cfg.Clock(),
 		ackFrom: make([]bool, p.cfg.Procs),
 	}
 	st.mu.Lock()
+	// Under st.mu: Close marks closed before it sweeps the pending maps.
+	if p.closed.Load() {
+		st.mu.Unlock()
+		return ErrClosed
+	}
 	st.pendUpd[reqID] = pu
 	st.mu.Unlock()
 
 	if err := p.cfg.Broadcast.Broadcast(proc, updatePayload{ReqID: reqID, From: proc, Proc: pr}, mop.PayloadBytes(pr)); err != nil {
+		// The update may have been ordered anyway, or swept by Close.
 		st.mu.Lock()
+		_, mine := st.pendUpd[reqID]
 		delete(st.pendUpd, reqID)
 		st.mu.Unlock()
-		return nil, fmt.Errorf("mlin: broadcast: %w", err)
+		if mine {
+			done(mop.Record{}, fmt.Errorf("mlin: broadcast: %w", err))
+		}
 	}
-	return pu.done, nil
+	return nil
 }
 
 // executeLocalQuery is the ONE level: the Figure 4 query rule applied to
@@ -526,7 +533,6 @@ func (p *Protocol) executeLocalQuery(proc int, pr mop.Procedure) (mop.Record, er
 		TSEnd:        tsEnd,
 		Footprint:    object.FullSet(p.cfg.Reg.Len()),
 		Inv:          inv,
-		Resp:         p.cfg.Clock(),
 		Result:       result,
 		Level:        history.LevelOne,
 		Responders:   []int{proc},
@@ -534,11 +540,12 @@ func (p *Protocol) executeLocalQuery(proc int, pr mop.Procedure) (mop.Record, er
 	}, nil
 }
 
-// executeQuery implements A3 + A6 for the strong levels: broadcast a
-// "query", wait until the level's responder count has answered (all
-// processes for ALL/default, a majority for QUORUM), fold in the local
-// replica, then read the merged freshest copy.
-func (p *Protocol) executeQuery(proc int, pr mop.Procedure, level history.Level) (mop.Record, error) {
+// executeQuery implements A3 for the strong levels: register the query
+// (arming a bounded query's response deadline) and broadcast a "query".
+// The query completes once the level's responder count has answered
+// (all processes for ALL/default, a majority for QUORUM), the session
+// floor is covered and the read barrier settles (see advance).
+func (p *Protocol) executeQuery(proc int, pr mop.Procedure, level history.Level, done func(mop.Record, error)) error {
 	st := p.states[proc]
 	if toucher, ok := p.cfg.Broadcast.(queryToucher); ok {
 		toucher.TouchQuery(proc, pr.Footprint().IDs())
@@ -546,20 +553,17 @@ func (p *Protocol) executeQuery(proc int, pr mop.Procedure, level history.Level)
 	reqID := p.nextID.Add(1)
 	need := p.need(level)
 	qs := &queryState{
+		pr:          pr,
+		level:       level,
+		retries:     p.cfg.QueryRetries,
 		othX:        make([]object.Value, p.cfg.Reg.Len()),
 		othts:       timestamp.New(p.cfg.Reg.Len()),
-		need:        need,
 		waiting:     need,
 		responded:   make([]bool, p.cfg.Procs),
-		done:        make(chan struct{}),
+		done:        done,
 		respApplied: make([]int64, p.cfg.Shards),
 		appliedBy:   make([][]int64, p.cfg.Procs),
-		barrierCh:   make(chan struct{}),
 	}
-	st.mu.Lock()
-	st.pendQry[reqID] = qs
-	st.mu.Unlock()
-
 	inv := p.cfg.Clock()
 	msg := queryMsg{ReqID: reqID}
 	bytes := 16
@@ -567,34 +571,82 @@ func (p *Protocol) executeQuery(proc int, pr mop.Procedure, level history.Level)
 		msg.Objs = pr.Footprint().IDs()
 		bytes += 8 * len(msg.Objs)
 	}
+	qs.inv, qs.msg, qs.bytes = inv, msg, bytes
+	st.mu.Lock()
+	if p.closed.Load() {
+		st.mu.Unlock()
+		return ErrClosed
+	}
+	if p.cfg.QueryTimeout > 0 {
+		qs.timer = time.AfterFunc(p.cfg.QueryTimeout, func() { p.gatherTimeout(proc, qs) })
+	}
+	st.pendQry[reqID] = qs
+	st.mu.Unlock()
 	for q := 0; q < p.cfg.Procs; q++ {
 		if err := p.qnet.Send(proc, q, "mlin.query", msg, bytes); err != nil {
 			st.mu.Lock()
-			delete(st.pendQry, reqID)
+			mine := st.release(qs)
 			st.mu.Unlock()
-			return mop.Record{}, fmt.Errorf("mlin: query: %w", err)
+			if mine {
+				done(mop.Record{}, fmt.Errorf("mlin: query: %w", err))
+			}
+			return nil
 		}
 	}
+	return nil
+}
 
-	if err := p.awaitQuery(st, qs, proc, reqID, msg, bytes); err != nil {
-		return mop.Record{}, err
+// release deletes qs from the pending queries if it is still there,
+// reporting whether the caller now owns its response. Caller holds st.mu.
+func (st *procState) release(qs *queryState) bool {
+	if st.pendQry[qs.msg.ReqID] != qs {
+		return false
 	}
+	delete(st.pendQry, qs.msg.ReqID)
+	if qs.timer != nil {
+		qs.timer.Stop()
+	}
+	return true
+}
 
-	// Post-round bookkeeping, all under the replica lock: wait out the
-	// session floor, fold the local replica into the merged copy, and
+// advance moves a strong query whose responses are in through the
+// session-floor wait and the read barrier as far as the replica state
+// allows. It reports whether it released the query, whose response the
+// caller then owes once st.mu is free. Caller holds st.mu.
+func (p *Protocol) advance(proc int, st *procState, qs *queryState) bool {
+	if qs.waiting > 0 || (qs.barrier == nil && !coversFloor(qs.respApplied, st.applied, st.floor)) {
+		return false
+	}
+	if qs.barrier != nil {
+		return qs.barrierDone && st.release(qs)
+	}
+	p.enterBarrier(proc, st, qs)
+	// Skip the wait when the responder count already caps certification
+	// at ONE (a deep force-completion): the barrier cannot strengthen
+	// the verdict, and probing an unreachable majority would only double
+	// the force-complete latency. Level-less queries always wait — they
+	// keep their pre-level identity and are checked at the store's
+	// native condition however many responded.
+	if qs.barrierDone || (len(qs.responders) < p.quorum() && qs.level != history.LevelDefault) {
+		return st.release(qs)
+	}
+	// The first probe goes out at once, then one per interval.
+	if qs.timer != nil {
+		qs.timer.Stop()
+	}
+	qs.retries = p.cfg.QueryRetries
+	qs.timer = time.AfterFunc(0, func() { p.probeTimeout(proc, qs) })
+	return false
+}
+
+// enterBarrier runs once a gathered query covers the session floor.
+func (p *Protocol) enterBarrier(proc int, st *procState, qs *queryState) {
+	// Post-round bookkeeping, all under the replica lock (the session
+	// floor is covered): fold the local replica into the merged copy, and
 	// advance the floor to the prefix this query covers. The message loop
 	// no longer merges into qs (waiting is 0), so the snapshot fields are
 	// stable; only the barrier evidence keeps moving.
 	covered := append([]int64(nil), qs.respApplied...)
-	st.mu.Lock()
-	for !coversFloor(qs.respApplied, st.applied, st.floor) && !p.closed.Load() {
-		st.cond.Wait()
-	}
-	if p.closed.Load() {
-		delete(st.pendQry, reqID)
-		st.mu.Unlock()
-		return mop.Record{}, ErrClosed
-	}
 	// Fold in the issuer's own replica: componentwise max over snapshots
 	// of prefixes of one total order is the snapshot of the longest
 	// prefix, so the merged copy stays consistent and is never older
@@ -603,7 +655,7 @@ func (p *Protocol) executeQuery(proc int, pr mop.Procedure, level history.Level)
 	// entries are meaningful, so only those are folded.
 	var fold []object.ID
 	if p.cfg.RelevantOnly {
-		fold = msg.Objs
+		fold = qs.msg.Objs
 	} else {
 		fold = allObjects(p.cfg.Reg.Len())
 	}
@@ -621,63 +673,52 @@ func (p *Protocol) executeQuery(proc int, pr mop.Procedure, level history.Level)
 	// have applied it (see the package comment). The issuer's own
 	// replica is the first piece of evidence; the phase-1 responses
 	// already carried theirs.
-	responders := make([]int, 0, p.cfg.Procs)
+	qs.responders = make([]int, 0, p.cfg.Procs)
 	for q, ok := range qs.responded {
 		if ok {
-			responders = append(responders, q)
+			qs.responders = append(qs.responders, q)
 		}
 	}
 	qs.barrier = covered
 	qs.noteApplied(proc, st.applied, p.cfg.Shards)
 	qs.noteEvidence(p.quorum())
-	st.mu.Unlock()
+}
 
-	// Skip the wait when the responder count already caps certification
-	// at ONE (a deep force-completion): the barrier cannot strengthen
-	// the verdict, and probing an unreachable majority would only double
-	// the force-complete latency. Level-less queries always wait — they
-	// keep their pre-level identity and are checked at the store's
-	// native condition however many responded.
-	stable := false
-	if len(responders) >= p.quorum() || level == history.LevelDefault {
-		stable = p.awaitBarrier(st, qs, proc, msg, bytes)
-	}
-	st.mu.Lock()
-	delete(st.pendQry, reqID)
-	st.mu.Unlock()
-	certified, consistent := certifyQuery(level, len(responders), p.cfg.Procs, stable)
+// respond answers a released strong query.
+func (p *Protocol) respond(proc int, qs *queryState) {
+	certified, consistent := certifyQuery(qs.level, len(qs.responders), p.cfg.Procs, qs.barrierDone)
 
 	// A6: apply the query to the merged copy. No lock is needed: all
 	// responses have been merged, the barrier only ever touched the
 	// evidence fields, and the query state is no longer reachable from
-	// the message loop.
+	// the loops or its timer.
 	tsStart := qs.othts.Clone()
-	rec := mop.NewRecorder(qs.othX, pr)
-	result := pr.Run(rec)
+	rec := mop.NewRecorder(qs.othX, qs.pr)
+	result := qs.pr.Run(rec)
 	if err := rec.Err(); err != nil {
-		return mop.Record{}, err
+		qs.done(mop.Record{}, err)
+		return
 	}
 	// The merged copy is a consistent full snapshot in whole-copy mode;
 	// in relevant-only mode only the footprint's entries are meaningful.
 	fp := object.FullSet(p.cfg.Reg.Len())
 	if p.cfg.RelevantOnly {
-		fp = pr.Footprint()
+		fp = qs.pr.Footprint()
 	}
-	return mop.Record{
+	qs.done(mop.Record{
 		Proc:         proc,
 		Update:       false,
 		Seq:          -1,
 		Ops:          rec.Ops(),
 		TSStart:      tsStart,
-		TSEnd:        qs.othts.Clone(),
+		TSEnd:        qs.othts,
 		Footprint:    fp,
-		Inv:          inv,
-		Resp:         p.cfg.Clock(),
+		Inv:          qs.inv,
 		Result:       result,
 		Level:        certified,
-		Responders:   responders,
+		Responders:   qs.responders,
 		IsConsistent: consistent,
-	}, nil
+	}, nil)
 }
 
 // certifyQuery maps (requested level, responder count, read-barrier
@@ -741,134 +782,94 @@ func allObjects(n int) []object.ID {
 	return out
 }
 
-// awaitQuery waits for the query's response set. With no QueryTimeout
-// it is the unbounded wait (Figure 6's wait-for-all at need = Procs;
-// the majority wait for QUORUM). With one, each deadline re-solicits
+// gatherTimeout is a bounded query's response deadline (with no
+// QueryTimeout the wait is unbounded: Figure 6's wait-for-all at need =
+// Procs; the majority wait for QUORUM). Each deadline re-solicits
 // the processes that have not answered, and after QueryRetries
 // re-solicitations the query completes with the responses gathered so
 // far — the issuer's replica is folded in afterwards regardless, so the
 // merged copy is never empty and never older than the issuer's own.
-func (p *Protocol) awaitQuery(st *procState, qs *queryState, proc int, reqID int64, msg queryMsg, bytes int) error {
-	if p.cfg.QueryTimeout <= 0 {
-		select {
-		case <-qs.done:
-			return nil
-		case <-p.stop:
-			st.mu.Lock()
-			delete(st.pendQry, reqID)
-			st.mu.Unlock()
-			return ErrClosed
-		}
-	}
-	retries := p.cfg.QueryRetries
-	timer := time.NewTimer(p.cfg.QueryTimeout)
-	defer timer.Stop()
-	for {
-		select {
-		case <-qs.done:
-			return nil
-		case <-p.stop:
-			st.mu.Lock()
-			delete(st.pendQry, reqID)
-			st.mu.Unlock()
-			return ErrClosed
-		case <-timer.C:
-			var missing []int
-			st.mu.Lock()
+func (p *Protocol) gatherTimeout(proc int, qs *queryState) {
+	st := p.states[proc]
+	var missing []int
+	fin := false
+	st.mu.Lock()
+	if st.pendQry[qs.msg.ReqID] == qs && qs.waiting > 0 {
+		if qs.retries <= 0 {
+			// Complete with what arrived.
+			qs.waiting = 0
+			fin = p.advance(proc, st, qs)
+		} else {
+			qs.retries--
+			qs.timer.Reset(p.cfg.QueryTimeout)
 			for q := 0; q < p.cfg.Procs; q++ {
 				if !qs.responded[q] {
 					missing = append(missing, q)
 				}
 			}
-			if retries <= 0 || len(missing) == 0 {
-				// Complete with what arrived (the message loop may have
-				// closed done in the meantime; the waiting guard keeps the
-				// close exactly-once).
-				if qs.waiting > 0 {
-					qs.waiting = 0
-					close(qs.done)
-				}
-				st.mu.Unlock()
-				return nil
-			}
-			st.mu.Unlock()
-			retries--
-			for _, q := range missing {
-				// Shutdown is the only send failure; the stop case exits.
-				_ = p.qnet.Send(proc, q, "mlin.query", msg, bytes)
-			}
-			timer.Reset(p.cfg.QueryTimeout)
 		}
+	}
+	st.mu.Unlock()
+	p.resend(proc, qs, missing, fin)
+}
+
+// probeTimeout drives the read barrier until a majority of replicas is
+// known to have applied the query's covered prefix (see the package
+// comment), re-probing the laggards with the same query message;
+// replicas answer idempotently and every answer refreshes their applied
+// evidence. When the barrier could not be confirmed within the retry
+// budget the query responds certified at ONE, never holding an unstable
+// snapshot to the m-linearizable contract. The wait terminates in the
+// failure-free case because every update in the covered prefix is
+// already in the broadcast order, which every live replica applies.
+func (p *Protocol) probeTimeout(proc int, qs *queryState) {
+	st := p.states[proc]
+	var lagging []int
+	fin := false
+	st.mu.Lock()
+	if st.pendQry[qs.msg.ReqID] == qs {
+		if p.cfg.QueryTimeout > 0 && qs.retries < 0 {
+			fin = st.release(qs)
+		} else {
+			qs.retries--
+			qs.timer.Reset(p.probeInterval())
+			for q := 0; q < p.cfg.Procs; q++ {
+				if q != proc && !dominates(qs.appliedBy[q], qs.barrier) {
+					lagging = append(lagging, q)
+				}
+			}
+		}
+	}
+	st.mu.Unlock()
+	p.resend(proc, qs, lagging, fin)
+}
+
+// resend sends qs's query message to the processes in to — the only
+// send failure is shutdown, and Close completes the query — then, if
+// fin, responds.
+func (p *Protocol) resend(proc int, qs *queryState, to []int, fin bool) {
+	for _, q := range to {
+		_ = p.qnet.Send(proc, q, "mlin.query", qs.msg, qs.bytes)
+	}
+	if fin {
+		p.respond(proc, qs)
 	}
 }
 
-// awaitBarrier blocks until a majority of replicas is known to have
-// applied the query's covered prefix (the read barrier — see the
-// package comment), re-probing the laggards with the same query
-// message; replicas answer idempotently and every answer refreshes
-// their applied evidence. Returns false when the barrier could not be
-// confirmed within the retry budget (or at shutdown): the caller then
-// certifies the read at ONE, never holding an unstable snapshot to the
-// m-linearizable contract. The wait terminates in the failure-free
-// case because every update in the covered prefix is already in the
-// broadcast order, which every live replica applies.
-func (p *Protocol) awaitBarrier(st *procState, qs *queryState, proc int, msg queryMsg, bytes int) bool {
-	probe := func() bool {
-		var lagging []int
-		st.mu.Lock()
-		if qs.barrierDone {
-			st.mu.Unlock()
-			return true
-		}
-		for q := 0; q < p.cfg.Procs; q++ {
-			if q != proc && !dominates(qs.appliedBy[q], qs.barrier) {
-				lagging = append(lagging, q)
-			}
-		}
-		st.mu.Unlock()
-		for _, q := range lagging {
-			// Shutdown is the only send failure; the stop case exits.
-			_ = p.qnet.Send(proc, q, "mlin.query", msg, bytes)
-		}
-		return false
-	}
-	if probe() {
-		return true
-	}
-	// Unbounded queries re-probe on a short interval forever (a replica
-	// may answer a probe before it has caught up to the barrier, so a
-	// single probe is not enough evidence to wait on); bounded queries
-	// re-probe on the query timeout and give up with the retry budget.
+// probeInterval is the read barrier's re-probe period. Unbounded
+// queries re-probe on a short interval forever (a replica
+// may answer a probe before it has caught up to the barrier, so a
+// single probe is not enough evidence to wait on); bounded queries
+// re-probe on the query timeout and give up with the retry budget.
+func (p *Protocol) probeInterval() time.Duration {
 	interval := p.cfg.QueryTimeout
-	retries := p.cfg.QueryRetries
-	unbounded := interval <= 0
-	if unbounded {
+	if interval <= 0 {
 		interval = barrierProbeInterval
 		if d := 2 * p.cfg.MaxDelay; d > interval {
 			interval = d
 		}
 	}
-	timer := time.NewTimer(interval)
-	defer timer.Stop()
-	for {
-		select {
-		case <-qs.barrierCh:
-			return true
-		case <-p.stop:
-			return false
-		case <-timer.C:
-			if !unbounded {
-				if retries <= 0 {
-					return false
-				}
-				retries--
-			}
-			if probe() {
-				return true
-			}
-			timer.Reset(interval)
-		}
-	}
+	return interval
 }
 
 // barrierProbeInterval is the floor on the read barrier's re-probe
@@ -907,7 +908,7 @@ func (p *Protocol) deliveryLoop(proc int) {
 				}
 				st.mu.Unlock()
 				if pu != nil {
-					pu.done <- mop.Outcome{Err: errors.New("mlin: update subsumed by recovery checkpoint")}
+					pu.done(mop.Record{}, errors.New("mlin: update subsumed by recovery checkpoint"))
 				} else if payload.From != proc {
 					p.sendAck(proc, payload)
 				}
@@ -925,12 +926,17 @@ func (p *Protocol) deliveryLoop(proc int) {
 				}
 			}
 			st.cond.Broadcast()
+			var fin []*queryState
 			for _, q := range st.pendQry {
 				// The local apply is read-barrier evidence for any of
-				// this process's queries still waiting on one.
+				// this process's queries still waiting on one, and may
+				// end another's session-floor wait.
 				if q.barrier != nil {
 					q.noteApplied(proc, st.applied, p.cfg.Shards)
 					q.noteEvidence(p.quorum())
+				}
+				if p.advance(proc, st, q) {
+					fin = append(fin, q)
 				}
 			}
 			var ready *pendingUpdate
@@ -957,6 +963,9 @@ func (p *Protocol) deliveryLoop(proc int) {
 			} else if payload.From != proc {
 				p.sendAck(proc, payload)
 			}
+			for _, q := range fin {
+				p.respond(proc, q)
+			}
 		}
 	}
 }
@@ -970,17 +979,16 @@ func (p *Protocol) sendAck(proc int, payload updatePayload) {
 	_ = p.qnet.Send(proc, payload.From, "mlin.ack", applyAck{ReqID: payload.ReqID, From: proc}, 16)
 }
 
-// finishUpdate fulfills a pending update whose write quorum is in: Resp
-// is stamped now — the response event of the m-operation is the moment
-// a majority is known to hold it, which is what the QUORUM read rule's
-// intersection argument charges against.
+// finishUpdate completes a released update whose write quorum is in:
+// the caller stamps Resp after this moment — a majority is known to hold
+// the update, which is what the QUORUM read rule's intersection argument
+// charges against.
 func (p *Protocol) finishUpdate(pu *pendingUpdate) {
 	rec := pu.rec
 	rec.Inv = pu.inv
-	rec.Resp = p.cfg.Clock()
 	rec.Level = history.LevelAll
 	rec.IsConsistent = true
-	pu.done <- mop.Outcome{Rec: rec, Err: pu.applyErr}
+	pu.done(rec, pu.applyErr)
 }
 
 // messageLoop implements A4 (answer queries), A5 (merge responses) and
@@ -1015,6 +1023,7 @@ func (p *Protocol) messageLoop(proc int) {
 					p.finishUpdate(ready)
 				}
 			case queryResp:
+				fin := false
 				st.mu.Lock()
 				qs, ok := st.pendQry[m.ReqID]
 				if ok && msg.From >= 0 && msg.From < p.cfg.Procs {
@@ -1036,12 +1045,13 @@ func (p *Protocol) messageLoop(proc int) {
 							maxInto(qs.respApplied, m.Applied)
 						}
 						qs.waiting--
-						if qs.waiting == 0 {
-							close(qs.done)
-						}
 					}
+					fin = p.advance(proc, st, qs)
 				}
 				st.mu.Unlock()
+				if fin {
+					p.respond(proc, qs)
+				}
 			}
 		}
 	}
@@ -1134,17 +1144,18 @@ func (p *Protocol) Snapshot(proc int) recovery.Checkpoint {
 func (p *Protocol) Adopt(proc int, ck recovery.Checkpoint) bool {
 	st := p.states[proc]
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	// Checkpoints carry a scalar prefix of the single total order;
 	// sharding excludes recovery (Config validation at the store layer),
 	// so a sharded replica never adopts one.
 	if len(st.applied) != 1 || ck.Applied <= st.applied[0] || len(ck.Values) != len(st.values) || len(ck.TS) != len(st.ts) {
+		st.mu.Unlock()
 		return false
 	}
 	copy(st.values, ck.Values)
 	copy(st.ts, ck.TS)
 	st.applied[0] = ck.Applied
 	st.cond.Broadcast()
+	var fin []*queryState
 	for _, q := range st.pendQry {
 		// An adopted checkpoint is a prefix of the same order: it is
 		// read-barrier evidence exactly like the applies it subsumes.
@@ -1152,6 +1163,13 @@ func (p *Protocol) Adopt(proc int, ck recovery.Checkpoint) bool {
 			q.noteApplied(proc, st.applied, p.cfg.Shards)
 			q.noteEvidence(p.quorum())
 		}
+		if p.advance(proc, st, q) {
+			fin = append(fin, q)
+		}
+	}
+	st.mu.Unlock()
+	for _, q := range fin {
+		p.respond(proc, q)
 	}
 	return true
 }
@@ -1166,9 +1184,9 @@ func (p *Protocol) LocalTS(proc int) timestamp.TS {
 }
 
 // Close shuts the protocol down, including the broadcaster it owns and
-// its query network. Every still-pending asynchronous completion is
-// fulfilled with ErrClosed so no pipelined issuer waits forever, and
-// every session-floor waiter is woken to observe the shutdown.
+// its query network. Every still-pending operation is completed with
+// ErrClosed so no issuer waits forever, and every session-floor waiter
+// is woken to observe the shutdown.
 func (p *Protocol) Close() {
 	if p.closed.Swap(true) {
 		return
@@ -1179,11 +1197,15 @@ func (p *Protocol) Close() {
 	p.wg.Wait()
 	for _, st := range p.states {
 		st.mu.Lock()
-		for id, pu := range st.pendUpd {
-			pu.done <- mop.Outcome{Err: ErrClosed}
-			delete(st.pendUpd, id)
-		}
+		upd, qry := st.pendUpd, st.pendQry
+		st.pendUpd, st.pendQry = map[int64]*pendingUpdate{}, map[int64]*queryState{}
 		st.cond.Broadcast()
 		st.mu.Unlock()
+		for _, pu := range upd {
+			pu.done(mop.Record{}, ErrClosed)
+		}
+		for _, qs := range qry {
+			qs.done(mop.Record{}, ErrClosed)
+		}
 	}
 }

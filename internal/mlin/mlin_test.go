@@ -1,12 +1,17 @@
 package mlin
 
 import (
+	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"moc/internal/abcast"
+	"moc/internal/history"
 	"moc/internal/mop"
+	"moc/internal/network"
 	"moc/internal/object"
 )
 
@@ -225,5 +230,136 @@ func TestLocalTSInstrumentation(t *testing.T) {
 	ts := p.LocalTS(0)
 	if ts.Get(1) != 1 {
 		t.Fatalf("LocalTS = %v", ts)
+	}
+}
+
+// failingBroadcast reports every third Broadcast as failed: one of each
+// two such updates is dropped, the other is still ordered (a connection
+// that broke after the write) and reported late, so its write quorum
+// usually completes before the failure path runs.
+type failingBroadcast struct {
+	abcast.Broadcaster
+	n atomic.Int64
+}
+
+func (f *failingBroadcast) Broadcast(from int, payload any, bytes int) error {
+	switch f.n.Add(1) % 6 {
+	case 0:
+		return errors.New("injected broadcast failure")
+	case 3:
+		_ = f.Broadcaster.Broadcast(from, payload, bytes)
+		time.Sleep(3 * time.Millisecond)
+		return errors.New("injected broadcast failure after send")
+	}
+	return f.Broadcaster.Broadcast(from, payload, bytes)
+}
+
+// notHeld reports whether st.mu can be taken within a second. Other
+// goroutines hold it only briefly; a caller that ran done under it
+// would hold it for as long as done runs.
+func notHeld(st *procState) bool {
+	deadline := time.Now().Add(time.Second)
+	for !st.mu.TryLock() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		runtime.Gosched()
+	}
+	st.mu.Unlock()
+	return true
+}
+
+// TestMLinSubmitCompletesOnce races the completion paths against each
+// other: an update's write quorum decided by the issuer's apply on the
+// delivery loop or by a peer's ack on the message loop, a broadcaster
+// that fails every third call, strong queries settled by responses or
+// by their bounded deadline, and Close. Every accepted Submit's done
+// runs exactly once and never under st.mu, and a refused Submit's never
+// runs.
+func TestMLinSubmitCompletesOnce(t *testing.T) {
+	const procs, submitters, each = 3, 6, 24
+	levels := []history.Level{history.LevelOne, history.LevelQuorum, history.LevelAll}
+	for round := 0; round < 15; round++ {
+		// Random ordering delays and instant acks: whichever replica
+		// applies last decides the write quorum, so both loops do.
+		b, err := abcast.NewSequencer(abcast.SequencerConfig{Procs: procs, Seed: int64(round), MaxDelay: 400 * time.Microsecond})
+		if err != nil {
+			t.Fatalf("NewSequencer: %v", err)
+		}
+		p, err := New(Config{
+			Procs: procs, Reg: object.Sequential(2), Broadcast: &failingBroadcast{Broadcaster: b},
+			Seed: int64(round), QueryTimeout: time.Millisecond, QueryRetries: 1,
+			// Process 2's query endpoint is down: it never acks or
+			// answers, so ALL queries run into their deadlines, its own
+			// updates wait for Close, and its strong queries force-complete.
+			Faults: &network.Faults{Crashes: []network.Crash{{Proc: 2}}},
+		})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		var (
+			calls    [submitters * each]atomic.Int32
+			accepted [submitters * each]bool
+			total    atomic.Int64
+			updates  atomic.Int64 // completed without error
+			underMu  atomic.Bool
+			wg       sync.WaitGroup
+		)
+		for s := 0; s < submitters; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				proc := s % procs
+				st := p.states[proc]
+				for j := 0; j < each; j++ {
+					i := s*each + j
+					var op mop.Procedure = mop.WriteOp{X: object.ID(j % 2), V: object.Value(i)}
+					var opts mop.ExecOptions
+					if j%2 == 1 {
+						op, opts.Level = mop.ReadOp{X: object.ID(j % 2)}, levels[j/2%len(levels)]
+					}
+					err := p.Submit(proc, op, opts, func(rec mop.Record, err error) {
+						// One report is enough; later calls skip the wait.
+						if !underMu.Load() && !notHeld(st) {
+							underMu.Store(true)
+							t.Errorf("done of operation %d ran under st.mu", i)
+						}
+						if rec.Update && err == nil {
+							updates.Add(1)
+						}
+						calls[i].Add(1)
+						total.Add(1)
+					})
+					accepted[i] = err == nil
+				}
+			}(s)
+		}
+		// Close lands while submissions, deliveries and deadlines are
+		// still running: from at once to after most updates completed.
+		for deadline := time.Now().Add(time.Second); updates.Load() < int64(2*round) && time.Now().Before(deadline); {
+			time.Sleep(20 * time.Microsecond)
+		}
+		p.Close()
+		wg.Wait()
+		// A deadline that released its query before Close swept may
+		// still be responding.
+		want := 0
+		for _, ok := range accepted {
+			if ok {
+				want++
+			}
+		}
+		for deadline := time.Now().Add(5 * time.Second); total.Load() < int64(want) && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
+		}
+		for i := range calls {
+			want := int32(0)
+			if accepted[i] {
+				want = 1
+			}
+			if got := calls[i].Load(); got != want {
+				t.Fatalf("round %d: operation %d (accepted %v): done ran %d times", round, i, accepted[i], got)
+			}
+		}
 	}
 }

@@ -13,11 +13,3 @@ type ExecOptions struct {
 	// always flow through the atomic broadcast's total order.
 	Level history.Level
 }
-
-// Outcome is the completion of an asynchronously issued m-operation:
-// the record captured at the issuing process, or the error that
-// prevented execution.
-type Outcome struct {
-	Rec Record
-	Err error
-}

@@ -176,9 +176,9 @@ func New(cfg Config) (*Protocol, error) {
 // and all levels need the m-lin query round and are rejected. Each
 // sequential thread of control (Section 2.1) corresponds to one caller;
 // distinct callers may share a process id concurrently only through
-// ExecAsync's pipelined update path (the store layer keeps their
+// Submit's pipelined update path (the store layer keeps their
 // recorded histories well-formed by modelling each issuing lane as its
-// own process).
+// own process). An update waits for Submit's done and stamps Resp.
 func (p *Protocol) Exec(proc int, pr mop.Procedure, opts mop.ExecOptions) (mop.Record, error) {
 	switch opts.Level {
 	case history.LevelDefault, history.LevelOne:
@@ -186,12 +186,14 @@ func (p *Protocol) Exec(proc int, pr mop.Procedure, opts mop.ExecOptions) (mop.R
 		return mop.Record{}, fmt.Errorf("msc: consistency level %q requires an m-lin store", opts.Level)
 	}
 	if pr.MayWrite() {
-		done, err := p.ExecAsync(proc, pr, opts)
-		if err != nil {
+		var rec mop.Record
+		ch := make(chan error, 1)
+		if err := p.Submit(proc, pr, opts, func(r mop.Record, err error) { rec = r; ch <- err }); err != nil {
 			return mop.Record{}, err
 		}
-		out := <-done
-		return out.Rec, out.Err
+		err := <-ch
+		rec.Resp = p.cfg.Clock()
+		return rec, err
 	}
 	if p.closed.Load() {
 		return mop.Record{}, ErrClosed
@@ -200,22 +202,6 @@ func (p *Protocol) Exec(proc int, pr mop.Procedure, opts mop.ExecOptions) (mop.R
 		return mop.Record{}, fmt.Errorf("msc: invalid process %d", proc)
 	}
 	return p.executeQuery(proc, pr, opts.Level)
-}
-
-// ExecAsync is Submit with a one-shot completion channel; the record it
-// delivers has Resp stamped when the issuer's apply completes it.
-func (p *Protocol) ExecAsync(proc int, pr mop.Procedure, opts mop.ExecOptions) (<-chan mop.Outcome, error) {
-	ch := make(chan mop.Outcome, 1)
-	err := p.Submit(proc, pr, opts, func(rec mop.Record, err error) {
-		if err == nil {
-			rec.Resp = p.cfg.Clock()
-		}
-		ch <- mop.Outcome{Rec: rec, Err: err}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ch, nil
 }
 
 // Submit issues an update m-operation (A1) without waiting for the
