@@ -21,8 +21,9 @@ race:
 
 # codec-gate = wire-codec checks that need a non-race build: the frame
 # fuzz seed corpus (every registered kind under both codecs, plus
-# hostile prefixes), the send-path allocation gates, and the m-SC and
-# m-lin completion paths' allocation ceilings. The race
+# hostile prefixes), the send-path allocation gates, and the allocation
+# ceilings of the replica's completion paths (its local read, its strong
+# query and its update, under m-SC and m-lin). The race
 # detector disables sync.Pool reuse, which charges the pooled frame
 # buffer to every encode, so the zero-allocs assertions only hold
 # without -race — hence the separate invocation.
@@ -67,12 +68,12 @@ batcher-loop:
 
 # completion-loop = the completion-path race tests twenty times over
 # under the race detector: m-SC and m-lin operations complete on the
-# protocols' own loops and timers, racing a failed broadcast, query
+# replica's own loops and timers, racing a failed broadcast, query
 # deadlines and Close for the one call of their callback, and the
 # RecordSink must see records in response order; like the Batcher's,
 # these races show only in a loop.
 completion-loop:
-	$(GO) test -race -count=20 -run 'RecordSink|Submit|BatcherCloseRaces' ./internal/core ./internal/msc ./internal/mlin ./internal/abcast
+	$(GO) test -race -count=20 -run 'RecordSink|Submit|BatcherCloseRaces' ./internal/core ./internal/mlin ./internal/abcast
 
 # judge = rehearse a before/after benchmark comparison against PARENT
 # (any git revision): PAIRS alternating parent/change runs of every

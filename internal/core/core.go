@@ -26,7 +26,6 @@ import (
 	"moc/internal/history"
 	"moc/internal/mlin"
 	"moc/internal/mop"
-	"moc/internal/msc"
 	"moc/internal/network"
 	"moc/internal/object"
 	"moc/internal/oolock"
@@ -257,7 +256,7 @@ type Store struct {
 	submit     submitFunc         // how every m-operation is issued and completed
 	bcast      abcast.Broadcaster // nil for the locking protocol
 	smap       *shard.Map         // non-nil iff Config.Shards > 1
-	mlinImpl   *mlin.Protocol     // non-nil iff Consistency == MLinearizable
+	mlinImpl   *mlin.Protocol     // non-nil iff Consistency is MSequential or MLinearizable
 	lockImpl   *oolock.Protocol   // non-nil iff Consistency == MLinearizableLocking
 	causalImpl *causal.Protocol   // non-nil iff Consistency == MCausal
 	procs      []*Process
@@ -445,6 +444,9 @@ func New(cfg Config) (*Store, error) {
 		s.makeProcs()
 		return s, nil
 	}
+	if cfg.Consistency != MSequential && cfg.Consistency != MLinearizable {
+		return nil, fmt.Errorf("core: unknown consistency %d", int(cfg.Consistency))
+	}
 
 	// makeLane builds one atomic-broadcast instance on the given channel
 	// with the given seed. endpoint >= 0 places a sequencer lane's
@@ -528,49 +530,22 @@ func New(cfg Config) (*Store, error) {
 		}
 	}
 
-	switch cfg.Consistency {
-	case MSequential:
-		var p *msc.Protocol
-		p, err = msc.New(msc.Config{
-			Procs: cfg.Procs, Reg: reg, Broadcast: bcast, Clock: s.now,
-		})
-		if err == nil {
-			s.exec = p
-			s.submit = func(proc int, pr mop.Procedure, opts mop.ExecOptions, done func(mop.Record, error)) error {
-				if pr.MayWrite() {
-					// A2: the issuer's delivery loop calls done.
-					return p.Submit(proc, pr, opts, done)
-				}
-				// A3: a query is a local read, so it runs on the caller.
-				done(p.Exec(proc, pr, opts))
-				return nil
-			}
-		}
-	case MLinearizable:
-		var p *mlin.Protocol
-		p, err = mlin.New(mlin.Config{
-			Procs: cfg.Procs, Reg: reg, Broadcast: bcast,
-			Seed: cfg.Seed + 1, MinDelay: cfg.MinDelay, MaxDelay: cfg.MaxDelay,
-			Faults: cfg.Faults, Links: cfg.Links,
-			RelevantOnly: cfg.RelevantOnly, Clock: s.now,
-			QueryTimeout: cfg.QueryTimeout, QueryRetries: cfg.QueryRetries,
-			Shards: cfg.Shards,
-		})
-		if err == nil {
-			// Submit completes every m-operation on the goroutine that
-			// sees its last event: a protocol loop, a query timer, or —
-			// for a ONE query — this caller.
-			s.exec, s.mlinImpl, s.submit = p, p, p.Submit
-		}
-	default:
-		bcast.Close()
-		return nil, fmt.Errorf("core: unknown consistency %d", int(cfg.Consistency))
-	}
+	p, err := mlin.New(mlin.Config{
+		Procs: cfg.Procs, Reg: reg, Broadcast: bcast, Sequential: cfg.Consistency == MSequential,
+		Seed: cfg.Seed + 1, MinDelay: cfg.MinDelay, MaxDelay: cfg.MaxDelay,
+		Faults: cfg.Faults, Links: cfg.Links,
+		RelevantOnly: cfg.RelevantOnly, Clock: s.now,
+		QueryTimeout: cfg.QueryTimeout, QueryRetries: cfg.QueryRetries,
+		Shards: cfg.Shards,
+	})
 	if err != nil {
 		bcast.Close()
 		return nil, err
 	}
-
+	// Submit completes every m-operation on the goroutine that sees its
+	// last event: a protocol loop, a query timer, or — for a local read —
+	// this caller.
+	s.exec, s.mlinImpl, s.submit = p, p, p.Submit
 	s.bcast = bcast
 	s.makeProcs()
 

@@ -1,6 +1,7 @@
 // Package mlin implements the m-linearizability protocol of Figure 6 of
 // Mittal & Garg (1998) for fully asynchronous systems — no clock
-// synchronization or message-delay bound is assumed:
+// synchronization or message-delay bound is assumed — and, on the same
+// replica, Figure 4's m-sequential consistency (see Sequential below):
 //
 //	(A1) an update m-operation is atomically broadcast to all processes;
 //	(A2) on delivery, each process applies it to its local copy (myX,
@@ -84,6 +85,14 @@
 // interleave; without it, a ONE read issued after a fresh QUORUM read
 // could observe an older local replica and the merged history would not
 // even be m-sequentially consistent.
+//
+// # Sequential
+//
+// Config.Sequential runs Figure 4 (m-SC by Theorem 15; reads may be
+// stale), which shares A1–A2 and answers every query from the local
+// copy: no query network, no write phase (an update responds at the
+// issuer's apply), QUORUM and ALL rejected. Nothing raises a session
+// floor, so local reads take only their footprint's object read locks.
 package mlin
 
 import (
@@ -111,6 +120,9 @@ type Config struct {
 	// Broadcast is the atomic broadcast service for updates; the
 	// protocol takes ownership and closes it.
 	Broadcast abcast.Broadcaster
+	// Sequential runs Figure 4 (see the package comment); the query
+	// network fields below are then ignored.
+	Sequential bool
 	// Seed, MinDelay and MaxDelay parameterize the query network.
 	Seed               int64
 	MinDelay, MaxDelay time.Duration
@@ -152,7 +164,7 @@ type Config struct {
 // Protocol is a running instance of the Figure 6 protocol.
 type Protocol struct {
 	cfg    Config
-	qnet   network.Link
+	qnet   network.Link // nil when Sequential
 	states []*procState
 	stop   chan struct{}
 	closed atomic.Bool
@@ -160,8 +172,12 @@ type Protocol struct {
 	nextID atomic.Int64
 }
 
+// procState is one process's replica. Writers hold mu and write-lock the
+// objects they touch; local reads read-lock their footprint's objects.
+// Lock order: mu, then object locks ascending.
 type procState struct {
 	mu      sync.Mutex
+	locks   []sync.RWMutex // one per object; guards values[x] and ts[x]
 	values  []object.Value // myX
 	ts      timestamp.TS   // myts
 	pendUpd map[int64]*pendingUpdate
@@ -179,6 +195,19 @@ type procState struct {
 	// broadcast whenever applied advances.
 	floor []int64
 	cond  *sync.Cond
+}
+
+// footprintIDs returns fp's ids in lock order (ascending), clipped to the
+// replica's objects: the Recorder rejects any access outside them.
+func (st *procState) footprintIDs(fp object.Set) []object.ID {
+	ids := fp.IDs()
+	for len(ids) > 0 && ids[0] < 0 {
+		ids = ids[1:]
+	}
+	for len(ids) > 0 && int(ids[len(ids)-1]) >= len(st.values) {
+		ids = ids[:len(ids)-1]
+	}
+	return ids
 }
 
 // queryState is a strong query's state machine, driven under st.mu by
@@ -311,15 +340,26 @@ type queryToucher interface {
 type pendingUpdate struct {
 	done func(mop.Record, error)
 	inv  int64
-	// rec/applyErr hold the issuer-apply outcome until the ack count
-	// reaches a majority; applied marks that they are set.
-	rec      mop.Record
-	applyErr error
-	applied  bool
+	wp   *writePhase // nil when Sequential: no write phase
+}
+
+type writePhase struct {
+	// rec holds the issuer's apply until the majority; applied marks it.
+	rec     mop.Record
+	applied bool
 	// ackFrom marks replicas whose apply of this update is known (the
 	// issuer's own apply counts), so duplicate acks are counted once.
 	ackFrom []bool
 	acks    int
+}
+
+// ack counts r's apply once and reports whether quorum replicas have.
+func (wp *writePhase) ack(r, quorum int) bool {
+	if !wp.ackFrom[r] {
+		wp.ackFrom[r] = true
+		wp.acks++
+	}
+	return wp.acks >= quorum
 }
 
 type queryMsg struct {
@@ -354,8 +394,8 @@ type queryResp struct {
 // ErrClosed is returned by Exec after Close.
 var ErrClosed = errors.New("mlin: protocol closed")
 
-// New starts the protocol: a delivery loop (A2) and a message loop
-// (A4/A5/A6 plumbing) per process.
+// New starts the protocol: a delivery loop (A2) and, unless Sequential,
+// a message loop (A4/A5/A6 plumbing) per process.
 func New(cfg Config) (*Protocol, error) {
 	if cfg.Procs <= 0 {
 		return nil, fmt.Errorf("mlin: invalid proc count %d", cfg.Procs)
@@ -373,24 +413,27 @@ func New(cfg Config) (*Protocol, error) {
 	if cfg.Shards == 0 {
 		cfg.Shards = 1
 	}
-	qnet, err := cfg.Links.Build("mlin.query", network.Config{
-		Procs:    cfg.Procs,
-		Seed:     cfg.Seed,
-		MinDelay: cfg.MinDelay,
-		MaxDelay: cfg.MaxDelay,
-		Faults:   cfg.Faults,
-	})
-	if err != nil {
-		return nil, err
-	}
 	p := &Protocol{
 		cfg:    cfg,
-		qnet:   qnet,
 		states: make([]*procState, cfg.Procs),
 		stop:   make(chan struct{}),
 	}
+	if !cfg.Sequential {
+		var err error
+		p.qnet, err = cfg.Links.Build("mlin.query", network.Config{
+			Procs:    cfg.Procs,
+			Seed:     cfg.Seed,
+			MinDelay: cfg.MinDelay,
+			MaxDelay: cfg.MaxDelay,
+			Faults:   cfg.Faults,
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
 	for i := range p.states {
 		st := &procState{
+			locks:   make([]sync.RWMutex, cfg.Reg.Len()),
 			values:  make([]object.Value, cfg.Reg.Len()),
 			ts:      timestamp.New(cfg.Reg.Len()),
 			pendUpd: make(map[int64]*pendingUpdate),
@@ -404,8 +447,10 @@ func New(cfg Config) (*Protocol, error) {
 	for i := 0; i < cfg.Procs; i++ {
 		p.wg.Add(1)
 		go p.deliveryLoop(i)
-		p.wg.Add(1)
-		go p.messageLoop(i)
+		if !cfg.Sequential {
+			p.wg.Add(1)
+			go p.messageLoop(i)
+		}
 	}
 	return p, nil
 }
@@ -447,7 +492,7 @@ func (p *Protocol) Exec(proc int, pr mop.Procedure, opts mop.ExecOptions) (mop.R
 // Submit issues m-operation pr without waiting for its completion; done
 // gets the record (Inv stamped, Resp left to the caller) or an error
 // exactly once, never under a protocol lock, on the goroutine that
-// completes it: a ONE query on the caller, a strong query on the loop
+// completes it: a local read on the caller, a strong query on the loop
 // or timer that settles its read barrier, an update (A1) on the loop
 // that sees a majority of replicas acknowledge applying it (the write
 // quorum — see the package comment). Close fails what is pending with
@@ -459,21 +504,22 @@ func (p *Protocol) Submit(proc int, pr mop.Procedure, opts mop.ExecOptions, done
 		return fmt.Errorf("mlin: invalid process %d", proc)
 	}
 	if !pr.MayWrite() {
-		switch opts.Level {
-		case history.LevelDefault, history.LevelQuorum, history.LevelAll:
-			return p.executeQuery(proc, pr, opts.Level, done)
-		case history.LevelOne:
-			done(p.executeLocalQuery(proc, pr))
+		switch {
+		case opts.Level == history.LevelOne || (p.cfg.Sequential && opts.Level == history.LevelDefault):
+			done(p.executeLocalQuery(proc, pr, opts.Level))
 			return nil
+		case p.cfg.Sequential:
+			return fmt.Errorf("mlin: consistency level %q requires an m-lin store", opts.Level)
+		case opts.Level == history.LevelDefault || opts.Level == history.LevelQuorum || opts.Level == history.LevelAll:
+			return p.executeQuery(proc, pr, opts.Level, done)
 		}
 		return fmt.Errorf("mlin: invalid consistency level %d", int(opts.Level))
 	}
 	st := p.states[proc]
 	reqID := p.nextID.Add(1)
-	pu := &pendingUpdate{
-		done:    done,
-		inv:     p.cfg.Clock(),
-		ackFrom: make([]bool, p.cfg.Procs),
+	pu := &pendingUpdate{done: done, inv: p.cfg.Clock()}
+	if !p.cfg.Sequential {
+		pu.wp = &writePhase{ackFrom: make([]bool, p.cfg.Procs)}
 	}
 	st.mu.Lock()
 	// Under st.mu: Close marks closed before it sweeps the pending maps.
@@ -497,30 +543,40 @@ func (p *Protocol) Submit(proc int, pr mop.Procedure, opts mop.ExecOptions, done
 	return nil
 }
 
-// executeLocalQuery is the ONE level: the Figure 4 query rule applied to
-// this protocol's replica. It waits out the session floor (a completed
-// strong read may have observed updates the local copy has not applied
-// yet), then reads the local copy — no query round, no network.
-func (p *Protocol) executeLocalQuery(proc int, pr mop.Procedure) (mop.Record, error) {
+// executeLocalQuery is the Figure 4 query rule: read the local copy under
+// its footprint's read locks. An m-lin replica reads under st.mu, after
+// waiting out the session floor (see the package comment).
+func (p *Protocol) executeLocalQuery(proc int, pr mop.Procedure, level history.Level) (mop.Record, error) {
 	st := p.states[proc]
 	inv := p.cfg.Clock()
+	fp := pr.Footprint()
+	ids := st.footprintIDs(fp)
 	if toucher, ok := p.cfg.Broadcast.(queryToucher); ok {
-		toucher.TouchQuery(proc, pr.Footprint().IDs())
+		toucher.TouchQuery(proc, ids)
 	}
-	st.mu.Lock()
-	for !dominates(st.applied, st.floor) && !p.closed.Load() {
-		st.cond.Wait()
+	if !p.cfg.Sequential {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		for !dominates(st.applied, st.floor) && !p.closed.Load() {
+			st.cond.Wait()
+		}
+		maxInto(st.floor, st.applied)
 	}
 	if p.closed.Load() {
-		st.mu.Unlock()
 		return mop.Record{}, ErrClosed
 	}
-	maxInto(st.floor, st.applied)
-	tsStart := st.ts.Clone()
+	for _, x := range ids {
+		st.locks[x].RLock()
+	}
+	tsStart := timestamp.New(len(st.ts)) // footprint entries only
+	for _, x := range ids {
+		tsStart.Set(x, st.ts.Get(x))
+	}
 	rec := mop.NewRecorder(st.values, pr)
 	result := pr.Run(rec)
-	tsEnd := st.ts.Clone()
-	st.mu.Unlock()
+	for i := len(ids) - 1; i >= 0; i-- {
+		st.locks[ids[i]].RUnlock()
+	}
 	if err := rec.Err(); err != nil {
 		return mop.Record{}, err
 	}
@@ -530,11 +586,11 @@ func (p *Protocol) executeLocalQuery(proc int, pr mop.Procedure) (mop.Record, er
 		Seq:          -1,
 		Ops:          rec.Ops(),
 		TSStart:      tsStart,
-		TSEnd:        tsEnd,
-		Footprint:    object.FullSet(p.cfg.Reg.Len()),
+		TSEnd:        tsStart.Clone(),
+		Footprint:    fp,
 		Inv:          inv,
 		Result:       result,
-		Level:        history.LevelOne,
+		Level:        level,
 		Responders:   []int{proc},
 		IsConsistent: true,
 	}, nil
@@ -881,16 +937,21 @@ const barrierProbeInterval = 2 * time.Millisecond
 func (p *Protocol) deliveryLoop(proc int) {
 	defer p.wg.Done()
 	st := p.states[proc]
+	deliveries := p.cfg.Broadcast.Deliveries(proc)
 	for {
 		select {
 		case <-p.stop:
 			return
-		case d := <-p.cfg.Broadcast.Deliveries(proc):
+		case d := <-deliveries:
 			payload, ok := d.Payload.(updatePayload)
 			if !ok {
 				continue
 			}
 			st.mu.Lock()
+			var pu *pendingUpdate
+			if payload.From == proc {
+				pu = st.pendUpd[payload.ReqID]
+			}
 			if d.Shards == nil && d.Seq < st.applied[0] {
 				// Subsumed by an adopted recovery checkpoint; applying
 				// again would double-count. (Sharded deliveries carry a
@@ -901,9 +962,7 @@ func (p *Protocol) deliveryLoop(proc int) {
 				// peer still owes the issuer its write-phase ack — the
 				// checkpoint covers the update's effects, so
 				// acknowledging is sound.
-				var pu *pendingUpdate
-				if payload.From == proc {
-					pu = st.pendUpd[payload.ReqID]
+				if pu != nil {
 					delete(st.pendUpd, payload.ReqID)
 				}
 				st.mu.Unlock()
@@ -914,7 +973,7 @@ func (p *Protocol) deliveryLoop(proc int) {
 				}
 				continue
 			}
-			rec, err := p.applyLocked(st, payload.Proc, payload.From, d.Seq)
+			rec, err := st.applyLocked(payload.Proc, payload.From, d.Seq, pu != nil)
 			if d.Shards == nil {
 				st.applied[0] = d.Seq + 1
 			} else {
@@ -940,26 +999,21 @@ func (p *Protocol) deliveryLoop(proc int) {
 				}
 			}
 			var ready *pendingUpdate
-			if payload.From == proc {
+			if pu != nil {
 				// A2: the issuing process generates the response — but only
 				// once a majority of replicas has applied the update (the
 				// local apply is the first ack). An apply error completes
 				// immediately: it is deterministic, waiting cannot mend it.
-				if pu := st.pendUpd[payload.ReqID]; pu != nil {
-					pu.applied, pu.rec, pu.applyErr = true, rec, err
-					if !pu.ackFrom[proc] {
-						pu.ackFrom[proc] = true
-						pu.acks++
-					}
-					if pu.acks >= p.quorum() || err != nil {
-						delete(st.pendUpd, payload.ReqID)
-						ready = pu
-					}
+				if p.cfg.Sequential || err != nil || pu.wp.ack(proc, p.quorum()) {
+					delete(st.pendUpd, payload.ReqID)
+					ready = pu
+				} else {
+					pu.wp.rec, pu.wp.applied = rec, true
 				}
 			}
 			st.mu.Unlock()
 			if ready != nil {
-				p.finishUpdate(ready)
+				p.finishUpdate(ready, rec, err)
 			} else if payload.From != proc {
 				p.sendAck(proc, payload)
 			}
@@ -975,6 +1029,9 @@ func (p *Protocol) deliveryLoop(proc int) {
 // subsuming it). Rides the query network; under the lossy simulated
 // stack the Reliable layer retransmits it like any other message.
 func (p *Protocol) sendAck(proc int, payload updatePayload) {
+	if p.cfg.Sequential {
+		return
+	}
 	// Send failures only occur at shutdown.
 	_ = p.qnet.Send(proc, payload.From, "mlin.ack", applyAck{ReqID: payload.ReqID, From: proc}, 16)
 }
@@ -983,12 +1040,11 @@ func (p *Protocol) sendAck(proc int, payload updatePayload) {
 // the caller stamps Resp after this moment — a majority is known to hold
 // the update, which is what the QUORUM read rule's intersection argument
 // charges against.
-func (p *Protocol) finishUpdate(pu *pendingUpdate) {
-	rec := pu.rec
+func (p *Protocol) finishUpdate(pu *pendingUpdate, rec mop.Record, err error) {
 	rec.Inv = pu.inv
 	rec.Level = history.LevelAll
 	rec.IsConsistent = true
-	pu.done(rec, pu.applyErr)
+	pu.done(rec, err)
 }
 
 // messageLoop implements A4 (answer queries), A5 (merge responses) and
@@ -1010,17 +1066,13 @@ func (p *Protocol) messageLoop(proc int) {
 				}
 				var ready *pendingUpdate
 				st.mu.Lock()
-				if pu := st.pendUpd[m.ReqID]; pu != nil && !pu.ackFrom[m.From] {
-					pu.ackFrom[m.From] = true
-					pu.acks++
-					if pu.applied && pu.acks >= p.quorum() {
-						delete(st.pendUpd, m.ReqID)
-						ready = pu
-					}
+				if pu := st.pendUpd[m.ReqID]; pu != nil && pu.wp.ack(m.From, p.quorum()) && pu.wp.applied {
+					delete(st.pendUpd, m.ReqID)
+					ready = pu
 				}
 				st.mu.Unlock()
 				if ready != nil {
-					p.finishUpdate(ready)
+					p.finishUpdate(ready, ready.wp.rec, nil)
 				}
 			case queryResp:
 				fin := false
@@ -1087,25 +1139,32 @@ func (p *Protocol) answerQuery(proc, from int, m queryMsg) {
 	_ = p.qnet.Send(proc, from, "mlin.qresp", resp, bytes)
 }
 
-// applyLocked is action A2's body (identical to the m-SC protocol's).
-// Unsharded updates record the full object set as their footprint (the
-// whole copy advances through one total order); sharded updates record
-// their true footprint, since a record that claimed membership in every
-// shard's schedule would put it in per-shard order chains it never
-// occupied a slot in.
-func (p *Protocol) applyLocked(st *procState, pr mop.Procedure, proc int, seq int64) (mop.Record, error) {
-	tsStart := st.ts.Clone()
+// applyLocked is action A2's body, under st.mu. Only the issuer builds a
+// record; it declares the procedure's own footprint, the only timestamp
+// entries any consumer reads.
+func (st *procState) applyLocked(pr mop.Procedure, proc int, seq int64, issuer bool) (mop.Record, error) {
+	fp := pr.Footprint()
+	ids := st.footprintIDs(fp)
+	for _, x := range ids {
+		st.locks[x].Lock()
+	}
+	var tsStart, tsEnd timestamp.TS
+	if issuer {
+		tsStart = st.ts.Clone()
+	}
 	rec := mop.NewRecorder(st.values, pr)
 	result := pr.Run(rec)
 	for _, x := range rec.Written().IDs() {
 		st.ts.Bump(x)
 	}
-	if err := rec.Err(); err != nil {
-		return mop.Record{}, err
+	if issuer {
+		tsEnd = st.ts.Clone()
 	}
-	fp := object.FullSet(len(st.values))
-	if p.cfg.Shards > 1 {
-		fp = pr.Footprint()
+	for i := len(ids) - 1; i >= 0; i-- {
+		st.locks[ids[i]].Unlock()
+	}
+	if err := rec.Err(); err != nil || !issuer {
+		return mop.Record{}, err
 	}
 	return mop.Record{
 		Proc:      proc,
@@ -1113,15 +1172,20 @@ func (p *Protocol) applyLocked(st *procState, pr mop.Procedure, proc int, seq in
 		Seq:       seq,
 		Ops:       rec.Ops(),
 		TSStart:   tsStart,
-		TSEnd:     st.ts.Clone(),
+		TSEnd:     tsEnd,
 		Footprint: fp,
 		Result:    result,
 	}, nil
 }
 
 // QueryTraffic returns the query network's traffic counters (experiment
-// E9 reads these).
-func (p *Protocol) QueryTraffic() network.Stats { return p.qnet.Stats() }
+// E9 reads these), zero when Sequential.
+func (p *Protocol) QueryTraffic() network.Stats {
+	if p.cfg.Sequential {
+		return network.Stats{ByKind: map[string]network.KindStats{}}
+	}
+	return p.qnet.Stats()
+}
 
 // BroadcastTraffic returns the broadcaster's (messages, bytes).
 func (p *Protocol) BroadcastTraffic() (int64, int64) { return p.cfg.Broadcast.MessageCost() }
@@ -1151,8 +1215,14 @@ func (p *Protocol) Adopt(proc int, ck recovery.Checkpoint) bool {
 		st.mu.Unlock()
 		return false
 	}
+	for i := range st.locks { // against local reads
+		st.locks[i].Lock()
+	}
 	copy(st.values, ck.Values)
 	copy(st.ts, ck.TS)
+	for i := len(st.locks) - 1; i >= 0; i-- {
+		st.locks[i].Unlock()
+	}
 	st.applied[0] = ck.Applied
 	st.cond.Broadcast()
 	var fin []*queryState
@@ -1193,7 +1263,9 @@ func (p *Protocol) Close() {
 	}
 	close(p.stop)
 	p.cfg.Broadcast.Close()
-	p.qnet.Close()
+	if p.qnet != nil {
+		p.qnet.Close()
+	}
 	p.wg.Wait()
 	for _, st := range p.states {
 		st.mu.Lock()

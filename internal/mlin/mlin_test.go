@@ -34,12 +34,16 @@ func newProtocol(t *testing.T, procs int, maxDelay time.Duration, relevantOnly b
 }
 
 func TestNewValidation(t *testing.T) {
-	reg := object.Sequential(1)
-	if _, err := New(Config{Procs: 0, Reg: reg}); err == nil {
-		t.Fatal("zero procs accepted")
-	}
-	if _, err := New(Config{Procs: 1}); err == nil {
-		t.Fatal("missing registry/broadcaster accepted")
+	for _, sequential := range []bool{false, true} {
+		t.Run(mode(sequential), func(t *testing.T) {
+			reg := object.Sequential(1)
+			if _, err := New(Config{Procs: 0, Reg: reg, Sequential: sequential}); err == nil {
+				t.Fatal("zero procs accepted")
+			}
+			if _, err := New(Config{Procs: 1, Sequential: sequential}); err == nil {
+				t.Fatal("missing registry/broadcaster accepted")
+			}
+		})
 	}
 }
 
@@ -170,18 +174,28 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	wg.Wait()
 }
 
+// TestUpdatePathMatchesMSC: Figures 4 and 6 share the update actions
+// A1–A2, so the same write on a fresh m-lin replica and a fresh
+// Sequential one is sequenced and applied alike, and both account its
+// broadcast.
 func TestUpdatePathMatchesMSC(t *testing.T) {
-	p := newProtocol(t, 2, 0, false)
-	rec, err := p.Exec(0, mop.WriteOp{X: 2, V: 9}, mop.ExecOptions{})
-	if err != nil {
-		t.Fatalf("update: %v", err)
+	var recs []mop.Record
+	for _, p := range []*Protocol{newProtocol(t, 2, 0, false), newSequential(t, 2, 0)} {
+		sequential := p.cfg.Sequential
+		rec, err := p.Exec(0, mop.WriteOp{X: 2, V: 9}, mop.ExecOptions{})
+		if err != nil {
+			t.Fatalf("%s update: %v", mode(sequential), err)
+		}
+		if !rec.Update || rec.Seq < 0 || rec.TSEnd.Get(2) != 1 {
+			t.Fatalf("%s update record = %+v", mode(sequential), rec)
+		}
+		if cost, _ := p.BroadcastTraffic(); cost == 0 {
+			t.Fatalf("%s broadcast traffic unaccounted", mode(sequential))
+		}
+		recs = append(recs, rec)
 	}
-	if !rec.Update || rec.Seq < 0 || rec.TSEnd.Get(2) != 1 {
-		t.Fatalf("update record = %+v", rec)
-	}
-	cost, _ := p.BroadcastTraffic()
-	if cost == 0 {
-		t.Fatal("broadcast traffic unaccounted")
+	if recs[0].Seq != recs[1].Seq || !recs[0].TSStart.Equal(recs[1].TSStart) || !recs[0].TSEnd.Equal(recs[1].TSEnd) {
+		t.Fatalf("update paths differ: mlin %+v, sequential %+v", recs[0], recs[1])
 	}
 }
 
@@ -215,11 +229,21 @@ func TestExecuteValidationAndClose(t *testing.T) {
 	if _, err := p.Exec(9, mop.ReadOp{X: 0}, mop.ExecOptions{}); err == nil {
 		t.Fatal("invalid process accepted")
 	}
+	if _, err := p.Exec(0, mop.ReadOp{X: 0}, mop.ExecOptions{Level: history.LevelQuorum}); err != nil {
+		t.Fatalf("QUORUM query: %v", err)
+	}
 	p.Close()
 	if _, err := p.Exec(0, mop.ReadOp{X: 0}, mop.ExecOptions{}); err != ErrClosed {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 	p.Close() // idempotent
+}
+
+func mode(sequential bool) string {
+	if sequential {
+		return "sequential"
+	}
+	return "mlin"
 }
 
 func TestLocalTSInstrumentation(t *testing.T) {
@@ -275,10 +299,21 @@ func notHeld(st *procState) bool {
 // that fails every third call, strong queries settled by responses or
 // by their bounded deadline, and Close. Every accepted Submit's done
 // runs exactly once and never under st.mu, and a refused Submit's never
-// runs.
+// runs. The Sequential replica races the same paths minus the write
+// phase and the query round: its updates complete at the issuer's apply
+// and its queries on the caller.
 func TestMLinSubmitCompletesOnce(t *testing.T) {
+	for _, sequential := range []bool{false, true} {
+		t.Run(mode(sequential), func(t *testing.T) { testSubmitCompletesOnce(t, sequential) })
+	}
+}
+
+func testSubmitCompletesOnce(t *testing.T, sequential bool) {
 	const procs, submitters, each = 3, 6, 24
 	levels := []history.Level{history.LevelOne, history.LevelQuorum, history.LevelAll}
+	if sequential {
+		levels = []history.Level{history.LevelOne, history.LevelDefault}
+	}
 	for round := 0; round < 15; round++ {
 		// Random ordering delays and instant acks: whichever replica
 		// applies last decides the write quorum, so both loops do.
@@ -288,7 +323,8 @@ func TestMLinSubmitCompletesOnce(t *testing.T) {
 		}
 		p, err := New(Config{
 			Procs: procs, Reg: object.Sequential(2), Broadcast: &failingBroadcast{Broadcaster: b},
-			Seed: int64(round), QueryTimeout: time.Millisecond, QueryRetries: 1,
+			Sequential: sequential,
+			Seed:       int64(round), QueryTimeout: time.Millisecond, QueryRetries: 1,
 			// Process 2's query endpoint is down: it never acks or
 			// answers, so ALL queries run into their deadlines, its own
 			// updates wait for Close, and its strong queries force-complete.

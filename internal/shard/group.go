@@ -11,9 +11,9 @@ import (
 )
 
 // Router is what the group needs from a broadcast payload in order to
-// route it: the footprint of the m-operation it carries. The msc and
-// mlin update payloads implement it. Payloads without a footprint route
-// to shard 0.
+// route it: the footprint of the m-operation it carries. The replica's
+// update payload (internal/mlin, under m-SC and m-lin alike) implements
+// it. Payloads without a footprint route to shard 0.
 type Router interface {
 	RoutingFootprint() []object.ID
 }

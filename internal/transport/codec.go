@@ -14,7 +14,7 @@
 // string, bytes varint, then the payload as a wire `any` slot (uvarint
 // tag + the registered type's own encoding). The gob body is a gob
 // stream of the wireFrame struct. Every protocol payload type is
-// registered with internal/wire in its package's wire.go (abcast, msc,
+// registered with internal/wire in its package's wire.go (abcast,
 // mlin, recovery, mop), which covers both codecs at once.
 package transport
 

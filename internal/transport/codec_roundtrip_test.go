@@ -13,7 +13,6 @@ import (
 	// function; importing them populates the registry this test sweeps.
 	_ "moc/internal/abcast"
 	_ "moc/internal/mlin"
-	_ "moc/internal/msc"
 	_ "moc/internal/recovery"
 	_ "moc/internal/shard"
 )
@@ -34,7 +33,6 @@ var expectedKinds = []string{
 	// abcast: batching layer.
 	"abcast.BatchMsg",
 	// Protocol updates and queries.
-	"msc.updatePayload",
 	"mlin.updatePayload", "mlin.queryMsg", "mlin.queryResp", "mlin.applyAck",
 	// Checkpoint transfer.
 	"recovery.xferReq", "recovery.xferResp",

@@ -2,9 +2,12 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
+	"moc/internal/mop"
 	"moc/internal/wire"
 )
 
@@ -45,6 +48,35 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})              // hostile length prefix
 	f.Add([]byte{0, 0, 0, 2, 0x7F, 0x00})              // unknown codec byte
 	f.Add([]byte{0, 0, 0, 3, codecBinary, 0xFF, 0xFF}) // corrupt binary body
+
+	// Payload tags no registered kind owns: the retired 40, framed the way
+	// an older build sent its m-SC update (ReqID, From, procedure), and
+	// the next free tag in mlin's block. Both must be rejected, never
+	// decoded as some other kind.
+	for _, tag := range []wire.Tag{40, wire.TagMLinApplyAck + 1} {
+		b := []byte{0, 0, 0, 0, codecBinary}
+		b = wire.AppendString(b, "fuzz")
+		b = wire.AppendVarint(b, 0)
+		b = wire.AppendVarint(b, 1)
+		b = wire.AppendString(b, "fuzz.unowned")
+		b = wire.AppendVarint(b, 8)
+		b = wire.AppendUvarint(b, uint64(tag))
+		b = wire.AppendVarint(b, 7) // ReqID
+		b = wire.AppendVarint(b, 0) // From
+		b, err := wire.AppendAny(b, mop.WriteOp{X: 1, V: 2})
+		if err != nil {
+			f.Fatalf("seed tag %d: %v", tag, err)
+		}
+		binary.BigEndian.PutUint32(b, uint32(len(b)-4))
+		var scratch []byte
+		if _, err := readFrame(bytes.NewReader(b), &scratch); !errors.Is(err, ErrBadFrame) {
+			f.Fatalf("frame with unowned tag %d: err = %v, want ErrBadFrame", tag, err)
+		}
+		f.Add(b)
+		f.Add(b[:len(b)/2])
+		f.Add(b[:4])
+		f.Add(append(b, b...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var scratch []byte

@@ -19,9 +19,9 @@ type PipelineConfig struct {
 	// retains before the garbage collector may retire older ones. Zero
 	// means no GC (everything is retained — offline use).
 	Window int
-	// SlackNs is the merge watermark slack in nanoseconds: the largest
-	// intra-node sink-order inversion absorbed without a feed-order
-	// report. Zero picks a safe default for TCP streams.
+	// SlackNs is the merge watermark slack in nanoseconds: how far one
+	// stream may trail another (cross-node clock skew, arrival order)
+	// without a feed-order report. Zero picks a safe default.
 	SlackNs int64
 	// Shards is the number of broadcast lanes the records' sequence
 	// numbers were composed over (object id mod Shards); 0 or 1 means
@@ -29,10 +29,10 @@ type PipelineConfig struct {
 	Shards int
 }
 
-// DefaultSlackNs absorbs the scheduling jitter between a record's
-// response timestamp being taken and its RecordSink call: measured
-// inversions are microseconds; 25ms is three orders of magnitude of
-// headroom and delays detection imperceptibly.
+// DefaultSlackNs absorbs cross-node clock skew and stream arrival order;
+// each stream is already in response order, since the store stamps Resp
+// and calls its RecordSink under one mutex. 25ms is generous headroom
+// and delays detection imperceptibly.
 const DefaultSlackNs = 25e6
 
 // compactEvery divides the window: GC runs every Window/compactEvery

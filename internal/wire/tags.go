@@ -42,10 +42,10 @@ const (
 	TagTokCatchup    Tag = 31
 	TagBatchMsg      Tag = 32
 
-	// 40–47: msc (m-sequential consistency, Figure 4).
-	TagMSCUpdate Tag = 40
+	// 40: retired, never reuse (the old msc package's m-SC update; both
+	// conditions now ride TagMLinUpdate).
 
-	// 48–55: mlin (m-linearizability, Figure 6).
+	// 48–55: mlin (the replica of Figures 4 and 6).
 	TagMLinUpdate    Tag = 48
 	TagMLinQueryMsg  Tag = 49
 	TagMLinQueryResp Tag = 50

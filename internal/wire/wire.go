@@ -1,6 +1,6 @@
 // Package wire is the registry of every payload type that may cross
 // the TCP transport inside a frame, and the hand-rolled binary codec
-// those frames use on the hot path. Protocol packages (abcast, msc,
+// those frames use on the hot path. Protocol packages (abcast,
 // mlin, recovery, mop) register their wire structs here with a stable
 // numeric tag instead of calling gob.Register directly; the registry
 // performs the gob registration (for the `-codec=gob` fallback),

@@ -38,7 +38,7 @@
 //     Theorem 7 procedure for constrained executions, and Misra's
 //     polynomial single-object case live in internal/checker; the most
 //     useful entry points are re-exported below.
-//   - The Section 5 protocols (Figures 4 and 6) live in internal/msc and
+//   - The Section 5 protocols (Figures 4 and 6) share one replica,
 //     internal/mlin, over a simulated asynchronous network
 //     (internal/network) and two from-scratch atomic broadcast
 //     implementations (internal/abcast).
