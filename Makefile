@@ -20,16 +20,16 @@ race:
 	$(GO) test -race ./...
 
 # codec-gate = wire-codec checks that need a non-race build: the frame
-# fuzz seed corpus (every registered kind under both codecs, plus
-# hostile prefixes), the send-path allocation gates, and the allocation
-# ceilings of the replica's completion paths (its local read, its strong
-# query and its update, under m-SC and m-lin). The race
-# detector disables sync.Pool reuse, which charges the pooled frame
+# fuzz seed corpus (every registered kind, the same frames under the
+# retired codec byte, and hostile prefixes), the send-path allocation
+# gate, and the allocation ceilings of the replica's completion paths
+# (its local read, its strong query and its update, under m-SC and
+# m-lin). The race detector disables sync.Pool reuse, which charges the
+# pooled frame
 # buffer to every encode, so the zero-allocs assertions only hold
 # without -race — hence the separate invocation.
 codec-gate:
 	$(GO) test ./internal/transport/ -run 'FuzzReadFrame|TestSendPathZeroAllocs' -count=1
-	$(GO) test ./internal/bench/ -run TestE17EncodeCostSeparatesCodecs -count=1
 	$(GO) test ./internal/core/ -run TestExecAllocationCeiling -count=1
 	$(GO) test ./internal/shard/ -run FuzzRouting -count=1
 

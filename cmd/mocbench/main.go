@@ -11,7 +11,7 @@
 //	mocbench -json [-run E14] [-quick] # write BENCH_<id>.json reports
 //
 // With -json, the measurement experiments (those with machine-readable
-// reports: E7, E13, E14, E15, E17, E18) are re-run and each report is written to
+// reports: E7, E13–E16, E18–E20) are re-run and each report is written to
 // BENCH_<id>.json in the current directory. Combining -json with -run
 // restricts the set to one experiment; asking for one without JSON
 // support is an error.

@@ -69,7 +69,6 @@ func run() error {
 		batchWindow = flag.Duration("batchwindow", 0, "bound on how long a queued update waits; a batch normally goes out when the pipeline is idle, when the previous flush is delivered, or at -batch updates (0 with -batch > 1 uses the built-in default)")
 		inflight    = flag.Int("inflight", 1, "updates outstanding per process (pipelined issuance; same value on every daemon)")
 		shards      = flag.Int("shards", 1, "partition the object space (id mod N) into this many independent broadcast lanes; single-shard operations never cross lanes (same value on every daemon; incompatible with -recover)")
-		codec       = flag.String("codec", transport.CodecBinary, `frame body encoding this daemon sends: "binary" or "gob" (receiving is always codec-agnostic, so mixed clusters interoperate)`)
 
 		recov        = flag.Bool("recover", false, "enable checkpoint-transfer recovery: serve checkpoints to rejoining peers and solicit one at startup (same flag on every daemon; requires -broadcast=seq and -batch=1)")
 		recoverWait  = flag.Duration("recoverwait", 3*time.Second, "how long the startup checkpoint solicitation waits for peers (with -recover; failure to recover is logged, not fatal)")
@@ -187,7 +186,7 @@ func run() error {
 	}
 
 	node, err := transport.Listen(transport.Config{
-		Self: *id, Addrs: addrs, Codec: *codec,
+		Self: *id, Addrs: addrs,
 		Faults: faults, Seed: *faultSeed,
 	})
 	if err != nil {

@@ -33,8 +33,8 @@ type Lamport struct {
 
 var _ Broadcaster = (*Lamport)(nil)
 
-// Wire payloads carry exported fields so a serializing transport can
-// marshal them (see internal/transport's codec).
+// Wire payloads are marshalled by their MarshalWire methods (wire.go)
+// when they cross a serializing transport (internal/transport).
 
 type lamportSubmit struct {
 	Payload any

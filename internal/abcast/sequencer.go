@@ -46,9 +46,9 @@ var (
 	_ Resumer     = (*Sequencer)(nil)
 )
 
-// The wire payload types below carry exported fields so a serializing
-// transport (internal/transport's gob codec) can marshal them; within
-// the simulated network they travel by reference unchanged.
+// The wire payload types below are marshalled by their MarshalWire
+// methods (wire.go) over a serializing transport (internal/transport);
+// within the simulated network they travel by reference unchanged.
 
 type seqRequest struct {
 	Origin  int

@@ -5,9 +5,8 @@ import "moc/internal/wire"
 // Every broadcast-layer payload that can cross a process boundary is
 // registered with the wire registry under its stable tag (see
 // wire/tags.go) so a serializing transport (internal/transport) can
-// marshal the Link's `any` payloads with the binary codec — and with
-// gob when the `-codec=gob` fallback is selected. Registration is keyed
-// by tag, so the unexported types stay private to this package while
+// marshal the Link's `any` payloads with the binary codec. Registration
+// is keyed by tag, so the unexported types stay private to this package while
 // remaining wire-codable, and the registry lets the codec round-trip
 // test enumerate every kind. The MarshalWire/UnmarshalWire
 // implementations below append into caller-provided buffers so the

@@ -45,7 +45,6 @@ func Experiments() []Experiment {
 		{ID: "E14", Title: "Protocol cost model over real loopback TCP (internal/transport)", Run: runE14, JSON: e14JSON},
 		{ID: "E15", Title: "Batched, pipelined updates: throughput and latency vs batch size", Run: runE15, JSON: e15JSON},
 		{ID: "E16", Title: "Sharded object space: ops/s vs shard count under a fixed per-coordinator egress budget", Run: runE16, JSON: e16JSON},
-		{ID: "E17", Title: "Binary wire codec vs gob: TCP update throughput and send-path allocations", Run: runE17, JSON: e17JSON},
 		{ID: "E18", Title: "Availability under chaos: socket faults, SIGKILL, and checkpoint rejoin over loopback TCP", Run: runE18, JSON: e18JSON},
 		{ID: "E19", Title: "Per-request consistency levels: query latency at ONE/QUORUM/ALL with one degraded peer", Run: runE19, JSON: e19JSON},
 		{ID: "E20", Title: "Live verification: verified records/s and retained state vs GC window, in-process + streamed TCP", Run: runE20, JSON: e20JSON},

@@ -12,8 +12,8 @@ import (
 
 func TestExperimentsRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 22 {
-		t.Fatalf("experiment count = %d, want 22", len(exps))
+	if len(exps) != 21 {
+		t.Fatalf("experiment count = %d, want 21", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
@@ -25,7 +25,7 @@ func TestExperimentsRegistry(t *testing.T) {
 		}
 		seen[e.ID] = true
 	}
-	for _, want := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20", "A1", "A2"} {
+	for _, want := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E18", "E19", "E20", "A1", "A2"} {
 		if !seen[want] {
 			t.Fatalf("missing experiment %s", want)
 		}
@@ -36,8 +36,8 @@ func TestRunJSONReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs measurement experiments; skipped in -short")
 	}
-	if got := jsonIDs(); len(got) != 9 || got[0] != "E13" || got[1] != "E14" || got[2] != "E15" || got[3] != "E16" || got[4] != "E17" || got[5] != "E18" || got[6] != "E19" || got[7] != "E20" || got[8] != "E7" {
-		t.Fatalf("jsonIDs() = %v, want [E13 E14 E15 E16 E17 E18 E19 E20 E7]", got)
+	if got := jsonIDs(); len(got) != 8 || got[0] != "E13" || got[1] != "E14" || got[2] != "E15" || got[3] != "E16" || got[4] != "E18" || got[5] != "E19" || got[6] != "E20" || got[7] != "E7" {
+		t.Fatalf("jsonIDs() = %v, want [E13 E14 E15 E16 E18 E19 E20 E7]", got)
 	}
 	for _, id := range jsonIDs() {
 		id := id

@@ -81,10 +81,8 @@ func percentile(ns []int64, q float64) time.Duration {
 // runE15Cell runs one sweep cell: an update-only closed loop with
 // p.inflight synchronous worker loops per process (the pipelining lanes
 // admit exactly that many concurrent updates), measuring per-operation
-// latency from issue to completion. codec selects the TCP frame-body
-// encoding (ignored on the simulated network); E15 always uses the
-// default, E17 sweeps it.
-func runE15Cell(transportKind, codec string, batch int, p e15Params, seed int64) (E15Result, error) {
+// latency from issue to completion.
+func runE15Cell(transportKind string, batch int, p e15Params, seed int64) (E15Result, error) {
 	const objects = 8
 	names := make([]string, objects)
 	for i := range names {
@@ -105,7 +103,7 @@ func runE15Cell(transportKind, codec string, batch int, p e15Params, seed int64)
 	var cluster *transport.Cluster
 	if transportKind == "tcp" {
 		var err error
-		cluster, err = transport.NewClusterWithCodec(p.procs, codec)
+		cluster, err = transport.NewCluster(p.procs)
 		if err != nil {
 			return E15Result{}, err
 		}
@@ -189,7 +187,7 @@ func e15Results(quick bool) ([]E15Result, e15Params, error) {
 	var results []E15Result
 	for _, tk := range []string{"sim", "tcp"} {
 		for _, batch := range p.batchSizes {
-			res, err := runE15Cell(tk, transport.CodecBinary, batch, p, 42)
+			res, err := runE15Cell(tk, batch, p, 42)
 			if err != nil {
 				return nil, p, err
 			}

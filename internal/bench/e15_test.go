@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"testing"
-
-	"moc/internal/transport"
-)
+import "testing"
 
 // benchE15Cell runs one sweep cell under the Go benchmark harness; the
 // CI bench smoke (`go test -bench=. -benchtime=1x ./internal/bench/...`)
@@ -13,7 +9,7 @@ func benchE15Cell(b *testing.B, transportKind string, batch int) {
 	b.Helper()
 	p := e15Sizes(true)
 	for i := 0; i < b.N; i++ {
-		res, err := runE15Cell(transportKind, transport.CodecBinary, batch, p, 42)
+		res, err := runE15Cell(transportKind, batch, p, 42)
 		if err != nil {
 			b.Fatalf("runE15Cell(%s, %d): %v", transportKind, batch, err)
 		}

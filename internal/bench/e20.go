@@ -28,7 +28,7 @@ import (
 //     sizes, including 0 (no GC, offline mode). The retained-state
 //     high-water must track the window, not the history length.
 //   - TCP stream: the acceptance run. Three store processes over real
-//     loopback TCP (the E15/E17 deployment) run an update-only
+//     loopback TCP (the E15 deployment) run an update-only
 //     pipelined workload; every completed record goes through a
 //     per-node verify.StreamWriter — batches, acks, resume, exactly
 //     what mocd -monitor ships — into a verify.Service on its own TCP
@@ -157,7 +157,7 @@ func e20Sweep(window, records int) (e20Point, error) {
 	}, nil
 }
 
-// e20TCP runs the acceptance deployment: the E15/E17 TCP store shape
+// e20TCP runs the acceptance deployment: the E15 TCP store shape
 // with every record streamed to a live verification service.
 func e20TCP(quick bool) (e20Point, error) {
 	pr := e20TCPParams

@@ -310,8 +310,8 @@ func maxInto(dst, src []int64) {
 	}
 }
 
-// The wire payload types below carry exported fields so a serializing
-// transport (internal/transport's gob codec) can marshal them.
+// The wire payload types below are marshalled by their MarshalWire
+// methods (wire.go) over a serializing transport (internal/transport).
 
 type updatePayload struct {
 	ReqID int64

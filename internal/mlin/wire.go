@@ -10,9 +10,7 @@ import (
 
 // Update and query payloads cross the broadcast and query channels,
 // which may be real serializing transports (internal/transport);
-// register them with the wire registry under their stable tags (the
-// registry also performs the gob registration for the `-codec=gob`
-// fallback).
+// register them with the wire registry under their stable tags.
 func init() {
 	wire.Register(wire.TagMLinUpdate, updatePayload{})
 	wire.Register(wire.TagMLinQueryMsg, queryMsg{})

@@ -9,8 +9,7 @@ import (
 
 // The declarative procedures are serializable-by-value, so they can
 // cross a real wire inside protocol payloads; register them with the
-// wire registry under their stable tags (the registry also performs the
-// gob registration for the `-codec=gob` fallback). Func is deliberately
+// wire registry under their stable tags. Func is deliberately
 // absent: a closure cannot be marshalled, so Func-based m-operations
 // only run over the in-process simulated network.
 func init() {

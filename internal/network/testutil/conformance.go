@@ -11,8 +11,7 @@ import (
 
 // ConformancePayload is the payload type the conformance suite sends.
 // It is wire-registered so serializing transports (internal/transport)
-// can carry it under either codec; in-memory transports pass it through
-// by reference.
+// can carry it; in-memory transports pass it through by reference.
 type ConformancePayload struct {
 	N int
 	S string

@@ -4,8 +4,7 @@ import "moc/internal/wire"
 
 // Transfer requests and responses may cross a real serializing
 // transport (internal/transport); register them with the wire registry
-// under their stable tags (the registry also performs the gob
-// registration for the `-codec=gob` fallback).
+// under their stable tags.
 func init() {
 	wire.Register(wire.TagXferReq, xferReq{})
 	wire.Register(wire.TagXferResp, xferResp{})

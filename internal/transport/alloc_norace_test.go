@@ -16,16 +16,16 @@ import (
 // steady-state send path: encode-into-pooled-buffer must not allocate
 // at all once the pool and registry are warm. If this fails, something
 // on the hot path regressed — a per-frame descriptor, a buffer that
-// escapes, an interface box — and E17's throughput win is leaking away.
+// escapes, an interface box.
 func TestSendPathZeroAllocs(t *testing.T) {
 	// Pre-boxed payload: the caller owns the concrete→any conversion,
 	// the transport owns everything after it.
 	var payload any = mop.WriteOp{X: 3, V: 42}
-	if _, err := BenchEncodeFrame(CodecBinary, payload); err != nil {
+	if _, err := BenchEncodeFrame(payload); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(2000, func() {
-		if _, err := BenchEncodeFrame(CodecBinary, payload); err != nil {
+		if _, err := BenchEncodeFrame(payload); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -34,18 +34,14 @@ func TestSendPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkEncodeFrame measures the send-side encode path under both
-// codecs; allocs/op is the number E17 commits and CI gates on.
+// BenchmarkEncodeFrame measures the send-side encode path; its
+// allocs/op is the number TestSendPathZeroAllocs gates on.
 func BenchmarkEncodeFrame(b *testing.B) {
 	var payload any = mop.WriteOp{X: 3, V: 42}
-	for _, codec := range []string{CodecBinary, CodecGob} {
-		b.Run(codec, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := BenchEncodeFrame(codec, payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := BenchEncodeFrame(payload); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

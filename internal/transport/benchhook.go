@@ -6,14 +6,10 @@ package transport
 // allocation gate, which need to measure the steady-state send path
 // without standing up a TCP cluster; it is not part of the transport's
 // operational API.
-func BenchEncodeFrame(codec string, payload any) (int, error) {
-	cb, err := codecByte(codec)
-	if err != nil {
-		return 0, err
-	}
+func BenchEncodeFrame(payload any) (int, error) {
 	fb := getFrameBuf()
 	f := wireFrame{Channel: "bench", From: 0, To: 1, Kind: "bench.op", Payload: payload, Bytes: 64}
-	if err := encodeFrame(cb, f, fb); err != nil {
+	if err := encodeFrame(f, fb); err != nil {
 		putFrameBuf(fb)
 		return 0, err
 	}

@@ -5,23 +5,18 @@
 //
 // The length counts the codec byte plus the body, so frames
 // concatenate into exactly the stream the reader expects (the writer
-// coalesces bursts this way). The codec byte selects the body
-// encoding per frame — codecBinary (the default, see internal/wire)
-// or codecGob (the `-codec=gob` fallback) — so a reader understands
-// either encoding regardless of which one its own node sends.
+// coalesces bursts this way). The codec byte is always codecBinary; a
+// reader refuses any other value.
 //
-// The binary body is: channel string, from varint, to varint, kind
-// string, bytes varint, then the payload as a wire `any` slot (uvarint
-// tag + the registered type's own encoding). The gob body is a gob
-// stream of the wireFrame struct. Every protocol payload type is
+// The body is: channel string, from varint, to varint, kind string,
+// bytes varint, then the payload as a wire `any` slot (uvarint tag +
+// the registered type's own encoding). Every protocol payload type is
 // registered with internal/wire in its package's wire.go (abcast,
-// mlin, recovery, mop), which covers both codecs at once.
+// mlin, recovery, mop).
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -34,17 +29,9 @@ import (
 // indicates a corrupt or hostile stream and kills the connection.
 const maxFrame = 32 << 20
 
-// Codec names accepted by Config.Codec and the daemons' -codec flag.
-const (
-	CodecBinary = "binary"
-	CodecGob    = "gob"
-)
-
-// On-the-wire codec bytes. These are wire format: never renumber.
-const (
-	codecGob    byte = 1
-	codecBinary byte = 2
-)
+// codecBinary is the frame's codec byte. It is wire format: never
+// renumber. Byte 1 is retired (gob), never reuse.
+const codecBinary byte = 2
 
 // ErrFrameTooLarge reports a frame whose length prefix exceeds
 // maxFrame. The reader treats it as a hostile or corrupt stream and
@@ -56,18 +43,6 @@ var ErrFrameTooLarge = errors.New("transport: frame exceeds size limit")
 // reader closes the connection — after framing is lost there is no way
 // to resynchronize the stream.
 var ErrBadFrame = errors.New("transport: malformed frame")
-
-// codecByte maps a Config.Codec name to its wire byte ("" selects the
-// binary default).
-func codecByte(name string) (byte, error) {
-	switch name {
-	case "", CodecBinary:
-		return codecBinary, nil
-	case CodecGob:
-		return codecGob, nil
-	}
-	return 0, fmt.Errorf("transport: unknown codec %q (want %q or %q)", name, CodecBinary, CodecGob)
-}
 
 // wireFrame is the on-the-wire representation of one network.Message,
 // tagged with the logical channel that must receive it.
@@ -104,21 +79,10 @@ func putFrameBuf(fb *frameBuf) {
 // body) to fb.b. Encoding happens at Send time so an unregistered
 // payload type surfaces as the Send error, not as a silent drop in the
 // writer goroutine.
-func encodeFrame(codec byte, f wireFrame, fb *frameBuf) error {
+func encodeFrame(f wireFrame, fb *frameBuf) error {
 	start := len(fb.b)
-	fb.b = append(fb.b, 0, 0, 0, 0, codec)
 	var err error
-	switch codec {
-	case codecBinary:
-		fb.b, err = appendBinaryBody(fb.b, f)
-	case codecGob:
-		var buf bytes.Buffer
-		if err = gob.NewEncoder(&buf).Encode(f); err == nil {
-			fb.b = append(fb.b, buf.Bytes()...)
-		}
-	default:
-		err = fmt.Errorf("%w: codec byte %d", ErrBadFrame, codec)
-	}
+	fb.b, err = appendBinaryBody(append(fb.b, 0, 0, 0, 0, codecBinary), f)
 	if err != nil {
 		fb.b = fb.b[:start]
 		return fmt.Errorf("transport: encode %q payload %T: %w", f.Kind, f.Payload, err)
@@ -165,17 +129,10 @@ func readFrame(r io.Reader, scratch *[]byte) (wireFrame, error) {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return wireFrame{}, err
 	}
-	switch body[0] {
-	case codecBinary:
-		return decodeBinaryBody(body[1:])
-	case codecGob:
-		var f wireFrame
-		if err := gob.NewDecoder(bytes.NewReader(body[1:])).Decode(&f); err != nil {
-			return wireFrame{}, fmt.Errorf("%w: gob body: %v", ErrBadFrame, err)
-		}
-		return f, nil
+	if body[0] != codecBinary {
+		return wireFrame{}, fmt.Errorf("%w: unknown codec byte %d", ErrBadFrame, body[0])
 	}
-	return wireFrame{}, fmt.Errorf("%w: unknown codec byte %d", ErrBadFrame, body[0])
+	return decodeBinaryBody(body[1:])
 }
 
 func decodeBinaryBody(body []byte) (wireFrame, error) {

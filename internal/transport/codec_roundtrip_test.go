@@ -46,8 +46,7 @@ var expectedKinds = []string{
 // fill populates v deterministically: scalars from a counter, slices
 // with two elements, maps with one entry, and interface slots with a
 // registered mop procedure sample (both `any` and mop.Procedure fields
-// accept it). Only exported (settable) fields are touched — gob skips
-// the rest anyway.
+// accept it). Only exported (settable) fields are touched.
 func fill(t testing.TB, v reflect.Value, ctr *int64) {
 	t.Helper()
 	switch v.Kind() {
@@ -101,17 +100,12 @@ func fill(t testing.TB, v reflect.Value, ctr *int64) {
 }
 
 // encodeFrameBytes is the test convenience wrapper around the pooled
-// encode path: encode one frame with the named codec and return a
-// fresh byte slice.
-func encodeFrameBytes(t testing.TB, codec string, f wireFrame) ([]byte, error) {
+// encode path: encode one frame and return a fresh byte slice.
+func encodeFrameBytes(t testing.TB, f wireFrame) ([]byte, error) {
 	t.Helper()
-	cb, err := codecByte(codec)
-	if err != nil {
-		t.Fatalf("codecByte(%q): %v", codec, err)
-	}
 	fb := getFrameBuf()
 	defer putFrameBuf(fb)
-	if err := encodeFrame(cb, f, fb); err != nil {
+	if err := encodeFrame(f, fb); err != nil {
 		return nil, err
 	}
 	return append([]byte(nil), fb.b...), nil
@@ -119,9 +113,8 @@ func encodeFrameBytes(t testing.TB, codec string, f wireFrame) ([]byte, error) {
 
 // TestCodecRoundTripsEveryRegisteredKind builds a non-trivial instance
 // of every payload type in the wire registry, carries it through
-// encodeFrame/readFrame inside a wireFrame under both codecs, and
-// requires the decoded frame — metadata and payload — to be deeply
-// equal to what was sent.
+// encodeFrame/readFrame inside a wireFrame, and requires the decoded
+// frame — metadata and payload — to be deeply equal to what was sent.
 func TestCodecRoundTripsEveryRegisteredKind(t *testing.T) {
 	types := wire.Types()
 	byName := make(map[string]reflect.Type, len(types))
@@ -137,45 +130,43 @@ func TestCodecRoundTripsEveryRegisteredKind(t *testing.T) {
 		t.FailNow()
 	}
 
-	for _, codec := range []string{CodecBinary, CodecGob} {
-		t.Run(codec, func(t *testing.T) {
-			var ctr int64
-			for _, typ := range types {
-				t.Run(typ.String(), func(t *testing.T) {
-					pv := reflect.New(typ).Elem()
-					fill(t, pv, &ctr)
-					in := wireFrame{
-						Channel: "codec-test",
-						From:    3,
-						To:      5,
-						Kind:    "kind." + typ.String(),
-						Payload: pv.Interface(),
-						Bytes:   64,
-					}
-					buf, err := encodeFrameBytes(t, codec, in)
-					if err != nil {
-						t.Fatalf("encodeFrame: %v", err)
-					}
-					var scratch []byte
-					out, err := readFrame(bytes.NewReader(buf), &scratch)
-					if err != nil {
-						t.Fatalf("readFrame: %v", err)
-					}
-					if !reflect.DeepEqual(in, out) {
-						t.Fatalf("round trip mutated the frame:\n sent %#v\n got  %#v", in, out)
-					}
-					if got := reflect.TypeOf(out.Payload); got != typ {
-						t.Fatalf("payload decoded as %v, want %v", got, typ)
-					}
-				})
-			}
-		})
-	}
+	t.Run("binary", func(t *testing.T) {
+		var ctr int64
+		for _, typ := range types {
+			t.Run(typ.String(), func(t *testing.T) {
+				pv := reflect.New(typ).Elem()
+				fill(t, pv, &ctr)
+				in := wireFrame{
+					Channel: "codec-test",
+					From:    3,
+					To:      5,
+					Kind:    "kind." + typ.String(),
+					Payload: pv.Interface(),
+					Bytes:   64,
+				}
+				buf, err := encodeFrameBytes(t, in)
+				if err != nil {
+					t.Fatalf("encodeFrame: %v", err)
+				}
+				var scratch []byte
+				out, err := readFrame(bytes.NewReader(buf), &scratch)
+				if err != nil {
+					t.Fatalf("readFrame: %v", err)
+				}
+				if !reflect.DeepEqual(in, out) {
+					t.Fatalf("round trip mutated the frame:\n sent %#v\n got  %#v", in, out)
+				}
+				if got := reflect.TypeOf(out.Payload); got != typ {
+					t.Fatalf("payload decoded as %v, want %v", got, typ)
+				}
+			})
+		}
+	})
 }
 
 // TestCodecPreservesNilObjectList pins the m-lin full-copy query
 // convention: a nil Objs slice means "send everything" (Figure 6), so
-// nil and empty must stay distinguishable across both codecs. The
+// nil and empty must stay distinguishable on the wire. The
 // payload crosses as the exported frame metadata cannot carry it — an
 // mlin.queryMsg with Objs left nil.
 func TestCodecPreservesNilObjectList(t *testing.T) {
@@ -191,34 +182,32 @@ func TestCodecPreservesNilObjectList(t *testing.T) {
 	}
 	pv := reflect.New(qm).Elem()
 	pv.Field(0).SetInt(77) // ReqID; Objs stays nil
-	for _, codec := range []string{CodecBinary, CodecGob} {
-		t.Run(codec, func(t *testing.T) {
-			in := wireFrame{Channel: "mlin.query", Kind: "mlin.query", Payload: pv.Interface(), Bytes: 8}
-			buf, err := encodeFrameBytes(t, codec, in)
-			if err != nil {
-				t.Fatalf("encodeFrame: %v", err)
-			}
-			var scratch []byte
-			out, err := readFrame(bytes.NewReader(buf), &scratch)
-			if err != nil {
-				t.Fatalf("readFrame: %v", err)
-			}
-			objs := reflect.ValueOf(out.Payload).Field(1)
-			if !objs.IsNil() {
-				t.Fatalf("nil Objs decoded as non-nil %#v — full-copy queries would stop requesting everything", objs.Interface())
-			}
-		})
-	}
+	t.Run("binary", func(t *testing.T) {
+		in := wireFrame{Channel: "mlin.query", Kind: "mlin.query", Payload: pv.Interface(), Bytes: 8}
+		buf, err := encodeFrameBytes(t, in)
+		if err != nil {
+			t.Fatalf("encodeFrame: %v", err)
+		}
+		var scratch []byte
+		out, err := readFrame(bytes.NewReader(buf), &scratch)
+		if err != nil {
+			t.Fatalf("readFrame: %v", err)
+		}
+		objs := reflect.ValueOf(out.Payload).Field(1)
+		if !objs.IsNil() {
+			t.Fatalf("nil Objs decoded as non-nil %#v — full-copy queries would stop requesting everything", objs.Interface())
+		}
+	})
 }
 
 // TestCodecStreamHasNoPerFrameDescriptorOverhead is the regression gate
-// against gob's per-stream type descriptors sneaking back onto the hot
-// path: with the binary codec, encoding the same frame twice must
-// produce identical bytes of identical (small) size — a codec that
-// amortizes descriptors across a stream would shrink the second frame,
-// and one that re-sends them would balloon both. The size cap is
-// deliberately tight: metadata plus a two-field payload must fit in far
-// less than gob's descriptor-laden ~200 bytes.
+// against per-stream type descriptors sneaking onto the hot path:
+// encoding the same frame twice must produce identical bytes of
+// identical (small) size — a codec that amortizes descriptors across a
+// stream would shrink the second frame, and one that re-sends them
+// would balloon both. The size cap is deliberately tight: metadata plus
+// a two-field payload must fit in far less than a self-describing
+// encoding's ~200 bytes.
 func TestCodecStreamHasNoPerFrameDescriptorOverhead(t *testing.T) {
 	frame := wireFrame{
 		Channel: "abcast",
@@ -228,11 +217,11 @@ func TestCodecStreamHasNoPerFrameDescriptorOverhead(t *testing.T) {
 		Payload: mop.WriteOp{X: 4, V: 99},
 		Bytes:   32,
 	}
-	first, err := encodeFrameBytes(t, CodecBinary, frame)
+	first, err := encodeFrameBytes(t, frame)
 	if err != nil {
 		t.Fatalf("encodeFrame: %v", err)
 	}
-	second, err := encodeFrameBytes(t, CodecBinary, frame)
+	second, err := encodeFrameBytes(t, frame)
 	if err != nil {
 		t.Fatalf("encodeFrame: %v", err)
 	}

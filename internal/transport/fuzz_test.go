@@ -11,14 +11,19 @@ import (
 	"moc/internal/wire"
 )
 
+// retiredCodecByte is the codec byte the deleted gob encoding used. No
+// build sends it any more, and readFrame must refuse it.
+const retiredCodecByte byte = 1
+
 // FuzzReadFrame throws arbitrary byte streams at the frame reader. The
-// seed corpus is a well-formed frame for every registered wire kind
-// under both codecs, plus truncations and hostile prefixes, so the
-// fuzzer starts from the full payload surface. The invariant is the
-// wire-path hardening contract: any input either decodes or returns an
-// error — never panics, and never allocates a buffer the input didn't
-// pay for. (The seed corpus runs as ordinary subtests on every `go
-// test`; `go test -fuzz=FuzzReadFrame` explores from there.)
+// seed corpus is a well-formed frame for every registered wire kind,
+// the same frame under the retired codec byte, plus truncations and
+// hostile prefixes, so the fuzzer starts from the full payload surface.
+// The invariant is the wire-path hardening contract: any input either
+// decodes or returns an error — never panics, and never allocates a
+// buffer the input didn't pay for — and whatever decodes re-encodes to
+// a fixed point. (The seed corpus runs as ordinary subtests on every
+// `go test`; `go test -fuzz=FuzzReadFrame` explores from there.)
 func FuzzReadFrame(f *testing.F) {
 	var ctr int64
 	for _, typ := range wire.Types() {
@@ -32,15 +37,22 @@ func FuzzReadFrame(f *testing.F) {
 			Payload: pv.Interface(),
 			Bytes:   8,
 		}
-		for _, codec := range []string{CodecBinary, CodecGob} {
-			b, err := encodeFrameBytes(f, codec, fr)
-			if err != nil {
-				f.Fatalf("seed %s/%s: %v", codec, typ, err)
-			}
-			f.Add(b)
-			f.Add(b[:len(b)/2])    // truncated mid-body
-			f.Add(b[:4])           // header only
-			f.Add(append(b, b...)) // two concatenated frames (reader takes the first)
+		b, err := encodeFrameBytes(f, fr)
+		if err != nil {
+			f.Fatalf("seed %s: %v", typ, err)
+		}
+		// The same frame under the retired gob byte must be refused.
+		retired := append([]byte(nil), b...)
+		retired[4] = retiredCodecByte
+		var scratch []byte
+		if _, err := readFrame(bytes.NewReader(retired), &scratch); !errors.Is(err, ErrBadFrame) {
+			f.Fatalf("seed %s under the retired codec byte: err = %v, want ErrBadFrame", typ, err)
+		}
+		for _, s := range [][]byte{b, retired} {
+			f.Add(s)
+			f.Add(s[:len(s)/2])    // truncated mid-body
+			f.Add(s[:4])           // header only
+			f.Add(append(s, s...)) // two concatenated frames (reader takes the first)
 		}
 	}
 	f.Add([]byte{})
@@ -84,16 +96,24 @@ func FuzzReadFrame(f *testing.F) {
 		if err != nil {
 			return // rejected is fine; panicking is the bug
 		}
-		// Whatever decoded must survive the send path without panicking
-		// (it may legitimately error, e.g. a gob frame whose payload
-		// shape the binary codec does not carry).
-		fb := getFrameBuf()
-		defer putFrameBuf(fb)
-		if err := encodeFrame(codecBinary, fr, fb); err == nil {
-			// And a clean re-encode must decode again.
-			if _, err := readFrame(bytes.NewReader(fb.b), &scratch); err != nil {
-				t.Fatalf("re-encoded frame failed to decode: %v", err)
-			}
+		// Whatever the reader accepts, the send path must encode, and
+		// that encoding is a fixed point: encode(decode(encode(x)))
+		// equals encode(x) byte for byte.
+		first, err := encodeFrameBytes(t, fr)
+		if err != nil {
+			t.Fatalf("accepted frame failed to re-encode: %v", err)
+		}
+		var scratch2 []byte
+		again, err := readFrame(bytes.NewReader(first), &scratch2)
+		if err != nil {
+			t.Fatalf("re-encoded frame failed to decode: %v", err)
+		}
+		second, err := encodeFrameBytes(t, again)
+		if err != nil {
+			t.Fatalf("decoded re-encoding failed to encode: %v", err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("encode(decode(encode(x))) differs from encode(x):\n %x\n %x", first, second)
 		}
 	})
 }

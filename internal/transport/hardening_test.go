@@ -48,14 +48,24 @@ func TestReadFrameRejectsMalformedFrames(t *testing.T) {
 		binary.BigEndian.PutUint32(b, uint32(len(body)))
 		return append(b, body...)
 	}
-	trailing := func() []byte {
-		good, err := encodeFrameBytes(t, CodecBinary, wireFrame{Channel: "c", Kind: "k"})
+	good := func() []byte {
+		b, err := encodeFrameBytes(t, wireFrame{Channel: "c", Kind: "k"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		good = append(good, 0x00) // stray byte inside the frame body
-		binary.BigEndian.PutUint32(good, uint32(len(good)-4))
-		return good
+		return b
+	}
+	trailing := func() []byte {
+		b := append(good(), 0x00) // stray byte inside the frame body
+		binary.BigEndian.PutUint32(b, uint32(len(b)-4))
+		return b
+	}
+	// A valid body behind the retired codec byte: the byte alone must
+	// get the frame refused.
+	retired := func() []byte {
+		b := good()
+		b[4] = retiredCodecByte
+		return b
 	}
 	for _, tc := range []struct {
 		name string
@@ -64,7 +74,7 @@ func TestReadFrameRejectsMalformedFrames(t *testing.T) {
 		{"empty frame", frame()},
 		{"unknown codec byte", frame(0x7F, 1, 2, 3)},
 		{"binary garbage body", frame(codecBinary, 0xFF, 0xFF, 0xFF)},
-		{"gob garbage body", frame(codecGob, 0xFF, 0xFF, 0xFF)},
+		{"gob garbage body", retired()},
 		{"binary trailing bytes", trailing()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -16,17 +16,9 @@ type Cluster struct {
 }
 
 // NewCluster binds n loopback listeners on ephemeral ports, assembles
-// the shared address list, and starts one Node per address. Frames use
-// the default binary codec.
+// the shared address list, and starts one Node per address.
 func NewCluster(n int) (*Cluster, error) {
-	return NewClusterWithCodec(n, CodecBinary)
-}
-
-// NewClusterWithCodec is NewCluster with an explicit send codec
-// (CodecBinary or CodecGob) on every node, for benchmarks and tests
-// that compare the two wire encodings.
-func NewClusterWithCodec(n int, codec string) (*Cluster, error) {
-	return newCluster(n, codec, nil)
+	return newCluster(n, nil)
 }
 
 // NewFaultyCluster is NewCluster with the same fault-injection config
@@ -34,10 +26,10 @@ func NewClusterWithCodec(n int, codec string) (*Cluster, error) {
 // faulted by its sending side, which reproduces the symmetric faults
 // the simulated network injects centrally.
 func NewFaultyCluster(n int, faults Faults) (*Cluster, error) {
-	return newCluster(n, CodecBinary, &faults)
+	return newCluster(n, &faults)
 }
 
-func newCluster(n int, codec string, faults *Faults) (*Cluster, error) {
+func newCluster(n int, faults *Faults) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("transport: cluster size %d", n)
 	}
@@ -56,7 +48,7 @@ func newCluster(n int, codec string, faults *Faults) (*Cluster, error) {
 	}
 	c := &Cluster{nodes: make([]*Node, n)}
 	for i := 0; i < n; i++ {
-		node, err := Listen(Config{Self: i, Addrs: addrs, Listener: lns[i], Codec: codec, Faults: faults})
+		node, err := Listen(Config{Self: i, Addrs: addrs, Listener: lns[i], Faults: faults})
 		if err != nil {
 			c.Close()
 			for j := i; j < n; j++ {

@@ -7,12 +7,11 @@
 // connection per peer. Endpoints are mapped to processes by
 // owner(e) = e mod len(addrs), which places protocol endpoint p on
 // daemon p and the fixed sequencer's dedicated endpoint n back on
-// daemon 0. Frames are length-prefixed and carry a per-frame codec byte
-// (see codec.go) selecting the zero-copy binary codec (default) or the
-// gob fallback; they are encoded at Send time into pooled buffers so
-// callers observe codec errors and the steady-state send path does not
-// allocate. Outbound connections dial lazily with exponential backoff
-// and reconnect after failures, counting re-establishments in
+// daemon 0. Frames are length-prefixed binary (see codec.go) and are
+// encoded at Send time into pooled buffers so callers observe codec
+// errors and the steady-state send path does not allocate. Outbound
+// connections dial lazily with exponential backoff and reconnect after
+// failures, counting re-establishments in
 // Stats.Reconnects and frames eligible for resend after a mid-frame
 // write error in Stats.Retransmitted.
 //
@@ -58,11 +57,6 @@ type Config struct {
 	// InboxSize is the per-endpoint delivery buffer on each channel.
 	// Default 4096.
 	InboxSize int
-	// Codec names the frame body encoding this node sends: CodecBinary
-	// (the default) or CodecGob. Receiving is always codec-agnostic —
-	// every frame carries its own codec byte — so nodes with different
-	// Codec settings interoperate.
-	Codec string
 	// Faults optionally injects socket-level faults (resets, corruption,
 	// latency, throttling, timed partitions) on this node's outbound
 	// connections. See faults.go. Nil injects nothing.
@@ -97,7 +91,6 @@ const (
 // channels.
 type Node struct {
 	cfg    Config
-	codec  byte // wire codec byte for frames this node sends
 	ln     net.Listener
 	peers  []*peer // peers[Self] == nil
 	ctx    context.Context
@@ -141,10 +134,6 @@ func Listen(cfg Config) (*Node, error) {
 	if cfg.InboxSize <= 0 {
 		cfg.InboxSize = defaultInboxSize
 	}
-	codec, err := codecByte(cfg.Codec)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.validate(len(cfg.Addrs)); err != nil {
 			return nil, err
@@ -161,7 +150,6 @@ func Listen(cfg Config) (*Node, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	n := &Node{
 		cfg:     cfg,
-		codec:   codec,
 		ln:      ln,
 		ctx:     ctx,
 		cancel:  cancel,
@@ -642,7 +630,7 @@ func (l *tcpLink) Send(from, to int, kind string, payload any, bytes int) error 
 	}
 	fb := getFrameBuf()
 	f := wireFrame{Channel: l.name, From: from, To: to, Kind: kind, Payload: payload, Bytes: bytes}
-	if err := encodeFrame(l.node.codec, f, fb); err != nil {
+	if err := encodeFrame(f, fb); err != nil {
 		putFrameBuf(fb)
 		return err
 	}

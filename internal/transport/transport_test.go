@@ -113,7 +113,7 @@ func TestPendingBufferedUntilRegistration(t *testing.T) {
 }
 
 // TestSendUnregisteredPayload verifies codec errors surface at Send
-// time: a payload type not registered with gob must fail the remote
+// time: a payload type not registered with wire must fail the remote
 // send, not vanish in the writer goroutine.
 func TestSendUnregisteredPayload(t *testing.T) {
 	t.Parallel()

@@ -1,23 +1,20 @@
 // Package wire is the registry of every payload type that may cross
 // the TCP transport inside a frame, and the hand-rolled binary codec
-// those frames use on the hot path. Protocol packages (abcast,
-// mlin, recovery, mop) register their wire structs here with a stable
-// numeric tag instead of calling gob.Register directly; the registry
-// performs the gob registration (for the `-codec=gob` fallback),
-// remembers the concrete type, and indexes it by tag so the binary
+// those frames use. Protocol packages (abcast, mlin, recovery, mop)
+// register their wire structs here with a stable numeric tag; the
+// registry remembers the concrete type and indexes it by tag so the
 // codec can marshal `any` payload slots without reflection on the
 // encode path. Tests enumerate every registered kind and prove each one
-// round-trips through both codecs. A payload type that skips Register
-// would fail to encode the first time it crossed a real wire — the
-// enumeration makes that a compile-adjacent test failure instead of a
-// runtime surprise.
+// round-trips through the transport's frame codec. A payload type that
+// skips Register would fail to encode the first time it crossed a real
+// wire — the enumeration makes that a compile-adjacent test failure
+// instead of a runtime surprise.
 //
 // Tags are part of the wire format and must never be renumbered; see
 // tags.go for the authoritative allocation table.
 package wire
 
 import (
-	"encoding/gob"
 	"fmt"
 	"reflect"
 	"sync"
@@ -68,12 +65,11 @@ func init() {
 	byTag.Store(&empty2)
 }
 
-// Register records v's concrete type under the given stable tag,
-// registers it with gob (the fallback codec), and verifies the codec
-// contract: v must implement Marshaler and *T must implement
-// Unmarshaler. Registration happens in package init functions, so
-// violations panic — they are programming errors, caught the first time
-// any test imports the package.
+// Register records v's concrete type under the given stable tag and
+// verifies the codec contract: v must implement Marshaler and *T must
+// implement Unmarshaler. Registration happens in package init
+// functions, so violations panic — they are programming errors, caught
+// the first time any test imports the package.
 func Register(tag Tag, v any) {
 	if tag < FirstKindTag {
 		panic(fmt.Sprintf("wire: tag %d is inside the built-in range [0,%d)", tag, FirstKindTag))
@@ -85,7 +81,6 @@ func Register(tag Tag, v any) {
 	if _, ok := reflect.New(t).Interface().(Unmarshaler); !ok {
 		panic(fmt.Sprintf("wire: *%v does not implement wire.Unmarshaler", t))
 	}
-	gob.Register(v)
 
 	regMu.Lock()
 	defer regMu.Unlock()

@@ -5,8 +5,9 @@
 #	scripts/judge.sh PARENT [PAIRS]      # or: make judge PARENT=<rev> [PAIRS=n]
 #
 # The change is the working tree; PARENT is any git revision, checked out
-# with `git worktree add` into a temporary directory that is removed on
-# exit. Each of PAIRS pairs (default 10) runs every workload in
+# detached in a shared `git clone` under a temporary directory that is
+# removed on exit, so the judge writes nothing into the repository's
+# .git. Each of PAIRS pairs (default 10) runs every workload in
 # BENCHMARK.json once per side, both sides with the same random seed,
 # the side that goes first alternating from pair to pair:
 #
@@ -28,18 +29,16 @@
 # the first.
 set -euo pipefail
 
-parent=${1:?usage: scripts/judge.sh PARENT [PAIRS]}
 pairs=${2:-10}
 root=$(git rev-parse --show-toplevel)
+# Resolve here: a name like HEAD~1 means this repository's history.
+parent=$(git -C "$root" rev-parse --verify "${1:?usage: scripts/judge.sh PARENT [PAIRS]}^{commit}")
 bench=$root/BENCHMARK.json
 
 tmp=$(mktemp -d)
-cleanup() {
-	git -C "$root" worktree remove --force "$tmp/parent" 2>/dev/null || true
-	rm -rf "$tmp"
-}
-trap cleanup EXIT
-git -C "$root" worktree add --quiet --detach "$tmp/parent" "$parent"
+trap 'rm -rf "$tmp"' EXIT
+git clone --quiet --shared --no-checkout "$root" "$tmp/parent"
+git -C "$tmp/parent" checkout --quiet --detach "$parent"
 mkdir -p "$tmp/out"
 
 workloads=$(sed -n 's/.*{"name": "\([^"]*\)", "why".*/\1/p' "$bench")
