@@ -15,6 +15,7 @@ import (
 	"moc/internal/monitor"
 	"moc/internal/mop"
 	"moc/internal/object"
+	"moc/internal/oolock"
 	"moc/internal/serial"
 	"moc/internal/workload"
 )
@@ -443,21 +444,14 @@ func BenchmarkHistoryBuild(b *testing.B) {
 // BenchmarkE11LockingProtocol measures one update m-operation through the
 // OO-constraint locking protocol (lock, apply, release).
 func BenchmarkE11LockingProtocol(b *testing.B) {
-	s, err := core.New(core.Config{
-		Procs: 3, Objects: []string{"x", "y", "z", "w"},
-		Consistency: core.MLinearizableLocking, Seed: 17, DisableRecording: true,
-	})
+	p, err := oolock.New(oolock.Config{Procs: 3, Reg: object.Sequential(4), Seed: 17})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(s.Close)
-	p, err := s.Process(0)
-	if err != nil {
-		b.Fatal(err)
-	}
+	b.Cleanup(p.Close)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := p.MAssign(map[object.ID]object.Value{0: int64(i), 1: int64(i)}); err != nil {
+		if _, err := p.Exec(0, mop.MAssign{Writes: map[object.ID]object.Value{0: int64(i), 1: int64(i)}}, mop.ExecOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,10 @@
-// Command mocsim runs one of the Section 5 protocols under a randomized
+// Command mocsim runs one of the paper's protocols under a randomized
 // multi-object workload, prints the recorded execution history, and
-// verifies the configured consistency condition with the polynomial
-// Theorem 7 procedure.
+// verifies the configured consistency condition. msc and mlin run a
+// core.Store (Figures 4 and 6, the polynomial Theorem 7 procedure);
+// oolock (Section 4's locking protocol, Theorem 7's OO branch) and causal
+// (the m-causal extension, the exact per-view decider) are driven
+// directly.
 //
 // Usage:
 //
@@ -47,6 +50,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strconv"
@@ -54,11 +58,14 @@ import (
 	"sync"
 	"time"
 
+	"moc/internal/causal"
+	"moc/internal/checker"
 	"moc/internal/core"
 	"moc/internal/history"
 	"moc/internal/mop"
 	"moc/internal/network"
 	"moc/internal/object"
+	"moc/internal/oolock"
 	"moc/internal/workload"
 )
 
@@ -69,14 +76,22 @@ type usageError struct{ msg string }
 func (e usageError) Error() string { return e.msg }
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "mocsim:", err)
-		var ue usageError
-		if errors.As(err, &ue) {
-			os.Exit(2)
-		}
-		os.Exit(1)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole program with its streams and exit code explicit, so
+// tests can drive every exit path in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	err := simulate(args, stdout, stderr)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
 	}
+	fmt.Fprintln(stderr, "mocsim:", err)
+	var ue usageError
+	if errors.As(err, &ue) {
+		return 2
+	}
+	return 1
 }
 
 // parseSchedule parses a comma-separated list of proc@time entries
@@ -107,33 +122,41 @@ func parseSchedule(flagName, spec string, procs int) (map[int]time.Duration, err
 	return out, nil
 }
 
-func run() error {
+// simulate parses args, runs the workload and reports the verdict.
+func simulate(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("mocsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		consistency = flag.String("consistency", "mlin", `consistency condition: "msc", "mlin", "oolock" or "causal"`)
-		broadcast   = flag.String("broadcast", "sequencer", `atomic broadcast: "sequencer", "lamport" or "token"`)
-		procs       = flag.Int("procs", 4, "number of processes")
-		objects     = flag.Int("objects", 6, "number of shared objects")
-		ops         = flag.Int("ops", 8, "m-operations per process")
-		readFrac    = flag.Float64("readfrac", 0.5, "fraction of query m-operations")
-		span        = flag.Int("span", 2, "objects touched per m-operation")
-		maxDelay    = flag.Duration("maxdelay", 2*time.Millisecond, "maximum network delay")
-		seed        = flag.Int64("seed", 1, "randomness seed")
-		relevant    = flag.Bool("relevant", false, "mlin: send only relevant objects in query responses")
-		batch       = flag.Int("batch", 1, "msc/mlin: coalesce up to this many updates into one broadcast frame (1 = unbatched)")
-		batchWindow = flag.Duration("batchwindow", 0, "msc/mlin: bound on how long a queued update waits; a batch normally goes out when the pipeline is idle, when the previous flush is delivered, or at -batch updates (0 with -batch > 1 uses the built-in default)")
-		inflight    = flag.Int("inflight", 1, "msc/mlin: updates outstanding per process (pipelined issuance)")
-		drop        = flag.Float64("drop", 0, "fault injection: per-message drop probability in [0,1)")
-		dup         = flag.Float64("dup", 0, "fault injection: per-message duplication probability in [0,1)")
-		partition   = flag.Duration("partition", 0, "fault injection: partition the first half of the processes from the rest until this duration elapses")
-		crash       = flag.String("crash", "", `crash-stop schedule: comma-separated proc@time entries (e.g. "1@40ms,2@80ms")`)
-		restart     = flag.String("restart", "", `restart schedule matching -crash: comma-separated proc@time entries (e.g. "1@160ms")`)
-		shards      = flag.Int("shards", 1, "msc/mlin: partition the object space (id mod N) into this many independent broadcast lanes; cross-shard m-operations run the two-phase ticket merge")
-		level       = flag.String("level", "", `consistency level for queries: "one", "quorum" or "all" (empty = the store's native level; "quorum"/"all" need -consistency mlin, "one" also works with msc)`)
-		emitJSON    = flag.Bool("json", false, "print the recorded history as JSON")
-		timeline    = flag.Bool("timeline", false, "render the history as per-process lanes (paper-figure style)")
-		dot         = flag.Bool("dot", false, "emit the history's relations as Graphviz DOT on stdout")
+		consistency = fs.String("consistency", "mlin", `consistency condition: "msc", "mlin", "oolock" or "causal"`)
+		broadcast   = fs.String("broadcast", "sequencer", `atomic broadcast: "sequencer", "lamport" or "token"`)
+		procs       = fs.Int("procs", 4, "number of processes")
+		objects     = fs.Int("objects", 6, "number of shared objects")
+		ops         = fs.Int("ops", 8, "m-operations per process")
+		readFrac    = fs.Float64("readfrac", 0.5, "fraction of query m-operations")
+		span        = fs.Int("span", 2, "objects touched per m-operation")
+		maxDelay    = fs.Duration("maxdelay", 2*time.Millisecond, "maximum network delay")
+		seed        = fs.Int64("seed", 1, "randomness seed")
+		relevant    = fs.Bool("relevant", false, "mlin: send only relevant objects in query responses")
+		batch       = fs.Int("batch", 1, "msc/mlin: coalesce up to this many updates into one broadcast frame (1 = unbatched)")
+		batchWindow = fs.Duration("batchwindow", 0, "msc/mlin: bound on how long a queued update waits; a batch normally goes out when the pipeline is idle, when the previous flush is delivered, or at -batch updates (0 with -batch > 1 uses the built-in default)")
+		inflight    = fs.Int("inflight", 1, "msc/mlin: updates outstanding per process (pipelined issuance)")
+		drop        = fs.Float64("drop", 0, "fault injection: per-message drop probability in [0,1)")
+		dup         = fs.Float64("dup", 0, "fault injection: per-message duplication probability in [0,1)")
+		partition   = fs.Duration("partition", 0, "fault injection: partition the first half of the processes from the rest until this duration elapses")
+		crash       = fs.String("crash", "", `crash-stop schedule: comma-separated proc@time entries (e.g. "1@40ms,2@80ms")`)
+		restart     = fs.String("restart", "", `restart schedule matching -crash: comma-separated proc@time entries (e.g. "1@160ms")`)
+		shards      = fs.Int("shards", 1, "msc/mlin: partition the object space (id mod N) into this many independent broadcast lanes; cross-shard m-operations run the two-phase ticket merge")
+		level       = fs.String("level", "", `consistency level for queries: "one", "quorum" or "all" (empty = the store's native level; "quorum"/"all" need -consistency mlin, "one" also works with msc)`)
+		emitJSON    = fs.Bool("json", false, "print the recorded history as JSON")
+		timeline    = fs.Bool("timeline", false, "render the history as per-process lanes (paper-figure style)")
+		dot         = fs.Bool("dot", false, "emit the history's relations as Graphviz DOT on stdout")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{err.Error()}
+	}
 
 	// Validate everything before building the store: a bad value should
 	// produce a usage message and exit code 2, not a late panic deep in
@@ -232,17 +255,6 @@ func run() error {
 	if *batch > 1 {
 		cfg.BatchSize = *batch
 	}
-	switch *consistency {
-	case "msc":
-		cfg.Consistency = core.MSequential
-	case "mlin":
-	case "oolock":
-		cfg.Consistency = core.MLinearizableLocking
-	case "causal":
-		cfg.Consistency = core.MCausal
-	default:
-		return fmt.Errorf("unknown consistency %q", *consistency)
-	}
 	switch *broadcast {
 	case "sequencer":
 		cfg.Broadcast = core.SequencerBroadcast
@@ -253,10 +265,8 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown broadcast %q", *broadcast)
 	}
-	cfg.Objects = make([]string, *objects)
-	for i := range cfg.Objects {
-		cfg.Objects[i] = fmt.Sprintf("x%d", i)
-	}
+	reg := object.Sequential(*objects)
+	cfg.Objects = reg.Names()
 
 	faulty := *drop > 0 || *dup > 0 || *partition > 0 || len(crashes) > 0
 	if faulty {
@@ -274,11 +284,37 @@ func run() error {
 		cfg.Faults = faults
 	}
 
-	s, err := core.New(cfg)
-	if err != nil {
-		return err
+	var s *core.Store // stays nil for oolock and causal, which no store mounts
+	var sim target
+	switch *consistency {
+	case "oolock", "causal":
+		if sim, err = openProtocol(*consistency, reg, cfg); err != nil {
+			return err
+		}
+	case "msc", "mlin":
+		if *consistency == "msc" {
+			cfg.Consistency = core.MSequential
+		}
+		if s, err = core.New(cfg); err != nil {
+			return err
+		}
+		sim = target{
+			condition: s.Consistency().String(),
+			exec: func(proc int, pr mop.Procedure, opts core.ExecOptions) error {
+				p, err := s.Process(proc)
+				if err == nil {
+					_, err = p.Exec(pr, opts)
+				}
+				return err
+			},
+			verify: s.Verify,
+			stats:  s.NetStats,
+			close:  s.Close,
+		}
+	default:
+		return fmt.Errorf("unknown consistency %q", *consistency)
 	}
-	defer s.Close()
+	defer sim.close()
 
 	mix := workload.Mix{ReadFrac: *readFrac, Span: *span, OpsPerProc: *ops}
 	plans := mix.Plan(*procs, *objects, rand.New(rand.NewSource(*seed)))
@@ -286,12 +322,8 @@ func run() error {
 	var wg sync.WaitGroup
 	errCh := make(chan error, *procs)
 	for pi := 0; pi < *procs; pi++ {
-		proc, err := s.Process(pi)
-		if err != nil {
-			return err
-		}
 		wg.Add(1)
-		go func(plan []workload.Op, proc *core.Process) {
+		go func(pi int, plan []workload.Op) {
 			defer wg.Done()
 			for _, op := range plan {
 				var pr mop.Procedure
@@ -306,12 +338,12 @@ func run() error {
 					}
 					pr = mop.MAssign{Writes: writes}
 				}
-				if _, err := proc.Exec(pr, opts); err != nil {
+				if err := sim.exec(pi, pr, opts); err != nil {
 					errCh <- err
 					return
 				}
 			}
-		}(plans[pi], proc)
+		}(pi, plans[pi])
 	}
 	wg.Wait()
 	select {
@@ -328,7 +360,7 @@ func run() error {
 	if leveled {
 		res, err = s.VerifyLeveled()
 	} else {
-		res, err = s.Verify()
+		res, err = sim.verify()
 	}
 	if err != nil {
 		return err
@@ -339,34 +371,34 @@ func run() error {
 		if cfg.Consistency == core.MSequential {
 			base = history.MSequentialBase
 		}
-		return res.History.DOT(os.Stdout, base)
+		return res.History.DOT(stdout, base)
 	}
 
 	// In JSON mode only the history goes to stdout (so the output can be
 	// piped into moccheck); the human-readable summary goes to stderr.
-	summary := os.Stdout
+	summary := stdout
 	if *emitJSON {
-		summary = os.Stderr
+		summary = stderr
 		data, err := json.MarshalIndent(res.History, "", "  ")
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(data))
+		fmt.Fprintln(stdout, string(data))
 	} else if *timeline {
-		fmt.Printf("recorded %d m-operations across %d processes:\n",
+		fmt.Fprintf(stdout, "recorded %d m-operations across %d processes:\n",
 			res.History.Len()-1, *procs)
-		if err := res.History.Timeline(os.Stdout); err != nil {
+		if err := res.History.Timeline(stdout); err != nil {
 			return err
 		}
 	} else {
-		fmt.Printf("recorded %d m-operations across %d processes:\n",
+		fmt.Fprintf(stdout, "recorded %d m-operations across %d processes:\n",
 			res.History.Len()-1, *procs)
 		for _, m := range res.History.MOps()[1:] {
-			fmt.Printf("  %s\n", m)
+			fmt.Fprintf(stdout, "  %s\n", m)
 		}
 	}
 
-	condition := s.Consistency().String()
+	condition := sim.condition
 	if leveled {
 		condition = fmt.Sprintf("mixed-level (queries at %s): m-SC overall, m-lin on the strong subset", queryLevel)
 	}
@@ -378,20 +410,84 @@ func run() error {
 		return fmt.Errorf("history failed %s verification — protocol bug", condition)
 	}
 	fmt.Fprintf(summary, "legal sequential witness: %s\n", res.Witness)
-	msgs, bytes := s.BroadcastCost()
-	fmt.Fprintf(summary, "broadcast traffic: %d msgs, %d bytes; query traffic: %d msgs, %d bytes\n",
-		msgs, bytes, s.QueryTraffic().Messages, s.QueryTraffic().Bytes)
+	ns := sim.stats()
+	if s != nil {
+		msgs, bytes := s.BroadcastCost()
+		fmt.Fprintf(summary, "broadcast traffic: %d msgs, %d bytes; query traffic: %d msgs, %d bytes\n",
+			msgs, bytes, s.QueryTraffic().Messages, s.QueryTraffic().Bytes)
+	} else {
+		fmt.Fprintf(summary, "%s traffic: %d msgs, %d bytes\n", *consistency, ns.Messages, ns.Bytes)
+	}
 	if faulty {
-		ns := s.NetStats()
 		fmt.Fprintf(summary, "fault injection: %d dropped, %d duplicated, %d retransmitted\n",
 			ns.Dropped, ns.Duplicated, ns.Retransmitted)
 		if len(crashes) > 0 {
 			// Crash/restart counters are per-transport (a store runs several
 			// networks under one schedule), so report the schedule itself
 			// plus the recoveries actually performed.
+			var recoveries int64 // oolock and causal have no checkpoint transfer
+			if s != nil {
+				recoveries = s.Recoveries()
+			}
 			fmt.Fprintf(summary, "crash schedule: %d crashes, %d restarts, %d checkpoint recoveries\n",
-				len(crashes), len(restarts), s.Recoveries())
+				len(crashes), len(restarts), recoveries)
 		}
 	}
 	return nil
+}
+
+// target is the protocol a run drives: a core.Store, or the oolock or
+// causal protocol directly.
+type target struct {
+	condition string // the condition verify checks
+	exec      func(proc int, pr mop.Procedure, opts core.ExecOptions) error
+	verify    func() (core.VerifyResult, error)
+	stats     func() network.Stats // every network the protocol runs on
+	close     func()
+}
+
+// openProtocol starts oolock or causal over reg and cfg's processes and
+// network. Its exec keeps every record; verify rebuilds the history with
+// core.BuildHistory and checks the protocol's own condition:
+// m-linearizability by Theorem 7's OO branch (oolock), or m-causal
+// consistency by the exact per-view decider (causal, which has no
+// Theorem 7 shortcut).
+func openProtocol(name string, reg *object.Registry, cfg core.Config) (target, error) {
+	var p interface {
+		Exec(proc int, pr mop.Procedure, opts mop.ExecOptions) (mop.Record, error)
+		Traffic() network.Stats
+		Close()
+	}
+	var err error
+	var recs []mop.Record // complete once every exec has returned
+	t := target{condition: "m-linearizable-locking", verify: func() (core.VerifyResult, error) {
+		return core.VerifyOO(reg, recs, history.MLinearizableBase)
+	}}
+	if name == "oolock" {
+		p, err = oolock.New(oolock.Config{Procs: cfg.Procs, Reg: reg, Seed: cfg.Seed, MaxDelay: cfg.MaxDelay, Faults: cfg.Faults})
+	} else {
+		p, err = causal.New(causal.Config{Procs: cfg.Procs, Reg: reg, Seed: cfg.Seed, MaxDelay: cfg.MaxDelay, Faults: cfg.Faults})
+		t.condition = "m-causal"
+		t.verify = func() (core.VerifyResult, error) {
+			h, _, err := core.BuildHistory(reg, recs)
+			if err != nil {
+				return core.VerifyResult{}, err
+			}
+			res, err := checker.MCausallyConsistent(h)
+			return core.VerifyResult{OK: res.Consistent, History: h}, err
+		}
+	}
+	if err != nil {
+		return target{}, err
+	}
+	var mu sync.Mutex
+	t.exec = func(proc int, pr mop.Procedure, opts core.ExecOptions) error {
+		rec, err := p.Exec(proc, pr, opts)
+		mu.Lock()
+		recs = append(recs, rec)
+		mu.Unlock()
+		return err
+	}
+	t.stats, t.close = p.Traffic, p.Close
+	return t, nil
 }

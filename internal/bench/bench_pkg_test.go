@@ -83,6 +83,12 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow-ish; skipped in -short")
 	}
+	// E11 and E12 drive the locking and causal protocols directly, not
+	// through a core.Store; their rows must still carry every protocol.
+	rowLabels := map[string][]string{
+		"E11": {"m-sequential", "m-linearizable", "m-linearizable-locking"},
+		"E12": {"m-causal", "m-sequential", "m-linearizable"},
+	}
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -93,6 +99,11 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 			}
 			if buf.Len() == 0 {
 				t.Fatalf("%s produced no output", e.ID)
+			}
+			for _, label := range rowLabels[e.ID] {
+				if !strings.Contains(buf.String(), "\n"+label+" ") {
+					t.Errorf("%s has no %s row:\n%s", e.ID, label, buf.String())
+				}
 			}
 		})
 	}

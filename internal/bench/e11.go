@@ -7,7 +7,10 @@ import (
 	"time"
 
 	"moc/internal/core"
+	"moc/internal/history"
+	"moc/internal/mop"
 	"moc/internal/object"
+	"moc/internal/oolock"
 )
 
 // runE11 compares the three protocol implementations — Figure 4 (m-SC,
@@ -38,17 +41,17 @@ func runE11(w io.Writer, quick bool) error {
 
 	t := newTable(w)
 	t.row("protocol", "workload", "update mean", "ops/s", "verified")
-	for _, cons := range []core.Consistency{core.MSequential, core.MLinearizable, core.MLinearizableLocking} {
+	for _, name := range []string{core.MSequential.String(), core.MLinearizable.String(), lockingName} {
 		for _, disjoint := range []bool{false, true} {
-			name := "contended"
+			workload := "contended"
 			if disjoint {
-				name = "disjoint"
+				workload = "disjoint"
 			}
-			res, err := runContentionWorkload(cons, procs, ops, delay, disjoint)
+			res, err := runContentionWorkload(name, procs, ops, delay, disjoint)
 			if err != nil {
 				return err
 			}
-			t.row(cons, name, res.updateMean.Round(time.Microsecond),
+			t.row(name, workload, res.updateMean.Round(time.Microsecond),
 				fmt.Sprintf("%.0f", res.throughput), res.verified)
 		}
 	}
@@ -58,39 +61,62 @@ func runE11(w io.Writer, quick bool) error {
 	return nil
 }
 
+// lockingName labels the rows of the OO-constraint locking protocol,
+// which no core.Store mounts.
+const lockingName = "m-linearizable-locking"
+
 type contentionResult struct {
 	updateMean time.Duration
 	throughput float64
 	verified   bool
 }
 
-func runContentionWorkload(cons core.Consistency, procs, ops int, delay time.Duration, disjoint bool) (contentionResult, error) {
-	numObjects := 2 * procs
-	names := make([]string, numObjects)
-	for i := range names {
-		names[i] = fmt.Sprintf("x%d", i)
+// runContentionWorkload has every process issue ops two-object updates
+// — all on one pair, or each on its own pair when disjoint — on the
+// protocol a row names: a core.Store for the broadcast protocols,
+// internal/oolock directly for the locking one. It verifies the run at
+// the protocol's own condition.
+func runContentionWorkload(name string, procs, ops int, delay time.Duration, disjoint bool) (contentionResult, error) {
+	reg := object.Sequential(2 * procs)
+	var mu sync.Mutex // guards recs and updNs
+	var exec func(proc int, pr mop.Procedure) error
+	var verify func() (core.VerifyResult, error)
+	if name == lockingName {
+		p, err := oolock.New(oolock.Config{Procs: procs, Reg: reg, Seed: 31, MinDelay: delay, MaxDelay: delay})
+		if err != nil {
+			return contentionResult{}, err
+		}
+		defer p.Close()
+		var recs []mop.Record // complete once every exec has returned
+		exec = func(proc int, pr mop.Procedure) error {
+			rec, err := p.Exec(proc, pr, mop.ExecOptions{})
+			mu.Lock()
+			recs = append(recs, rec)
+			mu.Unlock()
+			return err
+		}
+		verify = func() (core.VerifyResult, error) {
+			return core.VerifyOO(reg, recs, history.MLinearizableBase)
+		}
+	} else {
+		s, err := core.New(core.Config{
+			Procs: procs, Objects: reg.Names(), Consistency: storeConsistency(name),
+			Seed: 31, MinDelay: delay, MaxDelay: delay,
+		})
+		if err != nil {
+			return contentionResult{}, err
+		}
+		defer s.Close()
+		exec, verify = storeExec(s), s.Verify
 	}
-	s, err := core.New(core.Config{
-		Procs: procs, Objects: names, Consistency: cons,
-		Seed: 31, MinDelay: delay, MaxDelay: delay,
-	})
-	if err != nil {
-		return contentionResult{}, err
-	}
-	defer s.Close()
 
-	var mu sync.Mutex
 	var updNs []int64
 	var wg sync.WaitGroup
 	errs := make(chan error, procs)
 	start := time.Now()
 	for pi := 0; pi < procs; pi++ {
-		p, err := s.Process(pi)
-		if err != nil {
-			return contentionResult{}, err
-		}
 		wg.Add(1)
-		go func(pi int, p *core.Process) {
+		go func(pi int) {
 			defer wg.Done()
 			x1, x2 := object.ID(0), object.ID(1)
 			if disjoint {
@@ -98,10 +124,10 @@ func runContentionWorkload(cons core.Consistency, procs, ops int, delay time.Dur
 			}
 			for i := 0; i < ops; i++ {
 				t0 := time.Now()
-				err := p.MAssign(map[object.ID]object.Value{
+				err := exec(pi, mop.MAssign{Writes: map[object.ID]object.Value{
 					x1: object.Value(pi*1000 + i + 1),
 					x2: object.Value(pi*1000 + i + 1),
-				})
+				}})
 				if err != nil {
 					errs <- err
 					return
@@ -110,7 +136,7 @@ func runContentionWorkload(cons core.Consistency, procs, ops int, delay time.Dur
 				updNs = append(updNs, time.Since(t0).Nanoseconds())
 				mu.Unlock()
 			}
-		}(pi, p)
+		}(pi)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
@@ -120,7 +146,7 @@ func runContentionWorkload(cons core.Consistency, procs, ops int, delay time.Dur
 	default:
 	}
 
-	res, err := s.Verify()
+	res, err := verify()
 	if err != nil {
 		return contentionResult{}, err
 	}
@@ -129,4 +155,25 @@ func runContentionWorkload(cons core.Consistency, procs, ops int, delay time.Dur
 		throughput: float64(procs*ops) / elapsed.Seconds(),
 		verified:   res.OK,
 	}, nil
+}
+
+// storeConsistency maps a row label of a broadcast protocol back to the
+// store consistency it names.
+func storeConsistency(name string) core.Consistency {
+	if name == core.MLinearizable.String() {
+		return core.MLinearizable
+	}
+	return core.MSequential
+}
+
+// storeExec runs an m-operation of process proc on s at its default
+// level.
+func storeExec(s *core.Store) func(proc int, pr mop.Procedure) error {
+	return func(proc int, pr mop.Procedure) error {
+		p, err := s.Process(proc)
+		if err == nil {
+			_, err = p.Exec(pr, core.ExecOptions{})
+		}
+		return err
+	}
 }

@@ -6,9 +6,11 @@ import (
 	"sync"
 	"time"
 
+	"moc/internal/causal"
 	"moc/internal/checker"
 	"moc/internal/core"
 	"moc/internal/history"
+	"moc/internal/mop"
 	"moc/internal/object"
 )
 
@@ -31,20 +33,17 @@ func runE12(w io.Writer, quick bool) error {
 		trials = 8
 	}
 	type row struct {
-		cons                  core.Consistency
+		name                  string
 		causalOK, scOK, linOK int
 		updateMean            time.Duration
 	}
-	consistencies := []core.Consistency{
-		core.MCausal, core.MSequential, core.MLinearizable,
-	}
 	var rows []row
-	for _, cons := range consistencies {
-		r := row{cons: cons}
+	for _, name := range []string{causalName, core.MSequential.String(), core.MLinearizable.String()} {
+		r := row{name: name}
 		var updTotal time.Duration
 		var updCount int
 		for trial := 0; trial < trials; trial++ {
-			h, updDur, n, err := runRacingTrial(cons, int64(trial))
+			h, updDur, n, err := runRacingTrial(name, int64(trial))
 			if err != nil {
 				return err
 			}
@@ -88,7 +87,7 @@ func runE12(w io.Writer, quick bool) error {
 	t := newTable(w)
 	t.row("protocol", "m-causal", "m-SC", "m-lin", "update mean")
 	for _, r := range rows {
-		t.row(r.cons,
+		t.row(r.name,
 			fmt.Sprintf("%d/%d", r.causalOK, trials),
 			fmt.Sprintf("%d/%d", r.scOK, trials),
 			fmt.Sprintf("%d/%d", r.linOK, trials),
@@ -103,33 +102,59 @@ func runE12(w io.Writer, quick bool) error {
 	return nil
 }
 
-// runRacingTrial runs the E12 racing scenario: two concurrent writers of
-// one object plus two polling readers — the scenario that separates all
-// three conditions. Returns the history, total update latency and update
-// count.
-func runRacingTrial(cons core.Consistency, seed int64) (h *history.History, updDur time.Duration, updCount int, err error) {
-	s, err := core.New(core.Config{
-		Procs: 4, Objects: []string{"x"}, Consistency: cons,
-		Seed: seed, MaxDelay: 10 * time.Millisecond,
-	})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	defer s.Close()
+// causalName labels the rows of the m-causal protocol, which no
+// core.Store mounts.
+const causalName = "m-causal"
 
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	errCh := make(chan error, 4)
-	for wr := 0; wr < 2; wr++ {
-		p, perr := s.Process(wr)
-		if perr != nil {
-			return nil, 0, 0, perr
+// runRacingTrial runs the E12 racing scenario on the protocol a row
+// names — internal/causal directly, or a core.Store: two concurrent
+// writers of one object plus two polling readers — the scenario that
+// separates all three conditions. Returns the history, total update
+// latency and update count.
+func runRacingTrial(name string, seed int64) (h *history.History, updDur time.Duration, updCount int, err error) {
+	const procs = 4
+	reg := object.Sequential(1)
+	var mu sync.Mutex // guards recs, updDur and updCount
+	var exec func(proc int, pr mop.Procedure) error
+	var build func() (*history.History, error)
+	if name == causalName {
+		p, err := causal.New(causal.Config{Procs: procs, Reg: reg, Seed: seed, MaxDelay: 10 * time.Millisecond})
+		if err != nil {
+			return nil, 0, 0, err
 		}
+		defer p.Close()
+		var recs []mop.Record // complete once every exec has returned
+		exec = func(proc int, pr mop.Procedure) error {
+			rec, err := p.Exec(proc, pr, mop.ExecOptions{})
+			mu.Lock()
+			recs = append(recs, rec)
+			mu.Unlock()
+			return err
+		}
+		build = func() (*history.History, error) {
+			h, _, err := core.BuildHistory(reg, recs)
+			return h, err
+		}
+	} else {
+		s, err := core.New(core.Config{
+			Procs: procs, Objects: reg.Names(), Consistency: storeConsistency(name),
+			Seed: seed, MaxDelay: 10 * time.Millisecond,
+		})
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		defer s.Close()
+		exec, build = storeExec(s), s.History
+	}
+
+	var wg sync.WaitGroup
+	errCh := make(chan error, procs)
+	for wr := 0; wr < 2; wr++ {
 		wg.Add(1)
-		go func(wr int, p *core.Process) {
+		go func(wr int) {
 			defer wg.Done()
 			t0 := time.Now()
-			if err := p.Write(object.ID(0), object.Value(wr+1)); err != nil {
+			if err := exec(wr, mop.WriteOp{X: 0, V: object.Value(wr + 1)}); err != nil {
 				errCh <- err
 				return
 			}
@@ -137,24 +162,20 @@ func runRacingTrial(cons core.Consistency, seed int64) (h *history.History, updD
 			updDur += time.Since(t0)
 			updCount++
 			mu.Unlock()
-		}(wr, p)
+		}(wr)
 	}
-	for r := 2; r < 4; r++ {
-		p, perr := s.Process(r)
-		if perr != nil {
-			return nil, 0, 0, perr
-		}
+	for r := 2; r < procs; r++ {
 		wg.Add(1)
-		go func(p *core.Process) {
+		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
-				if _, err := p.Read(0); err != nil {
+				if err := exec(r, mop.ReadOp{X: 0}); err != nil {
 					errCh <- err
 					return
 				}
 				time.Sleep(2 * time.Millisecond)
 			}
-		}(p)
+		}(r)
 	}
 	wg.Wait()
 	select {
@@ -162,9 +183,6 @@ func runRacingTrial(cons core.Consistency, seed int64) (h *history.History, updD
 		return nil, 0, 0, err
 	default:
 	}
-	hist, err := s.History()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return hist, updDur, updCount, nil
+	h, err = build()
+	return h, updDur, updCount, err
 }

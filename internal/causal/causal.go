@@ -48,7 +48,8 @@ type Config struct {
 	// keeps dissemination exactly-once (duplicates would re-apply
 	// updates).
 	Faults *network.Faults
-	// Clock returns nanoseconds since the run origin; must be monotonic.
+	// Clock returns nanoseconds since the run origin and must be strictly
+	// increasing; nil uses a mop.Clock started at construction.
 	Clock func() int64
 }
 
@@ -91,8 +92,7 @@ func New(cfg Config) (*Protocol, error) {
 		return nil, errors.New("causal: registry is required")
 	}
 	if cfg.Clock == nil {
-		origin := time.Now()
-		cfg.Clock = func() int64 { return time.Since(origin).Nanoseconds() }
+		cfg.Clock = mop.NewClock(time.Now()).Now
 	}
 	net, err := network.NewLink(network.Config{
 		Procs:    cfg.Procs,

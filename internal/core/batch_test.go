@@ -247,24 +247,12 @@ func TestBatchedPipelinedChaos(t *testing.T) {
 	}
 }
 
-// TestBatchPipelineValidation pins the config surface: the knobs are
-// broadcast-consistency only and must be non-negative.
+// TestBatchPipelineValidation pins the config surface: the knobs must be
+// non-negative.
 func TestBatchPipelineValidation(t *testing.T) {
 	base := Config{Procs: 2, Objects: []string{"x"}}
 
 	bad := base
-	bad.Consistency = MCausal
-	bad.BatchSize = 8
-	if _, err := New(bad); err == nil {
-		t.Fatal("batching accepted for m-causal store")
-	}
-	bad = base
-	bad.Consistency = MLinearizableLocking
-	bad.MaxInflight = 4
-	if _, err := New(bad); err == nil {
-		t.Fatal("pipelining accepted for locking store")
-	}
-	bad = base
 	bad.MaxInflight = -1
 	if _, err := New(bad); err == nil {
 		t.Fatal("negative MaxInflight accepted")
@@ -275,11 +263,10 @@ func TestBatchPipelineValidation(t *testing.T) {
 		t.Fatal("negative BatchSize accepted")
 	}
 
-	// MaxInflight == 1 and BatchSize == 1 are the defaults spelled out:
-	// fine everywhere.
+	// MaxInflight == 1 and BatchSize == 1 are the defaults spelled out.
 	ok := base
-	ok.Consistency = MCausal
 	ok.MaxInflight = 1
+	ok.BatchSize = 1
 	if s, err := New(ok); err != nil {
 		t.Fatalf("MaxInflight=1 rejected: %v", err)
 	} else {

@@ -5,7 +5,10 @@
 // m-linearizability, Section 2.3 of Mittal & Garg 1998), implemented by
 // the Section 5 protocols over a simulated asynchronous network.
 //
-// A Store runs n processes, each holding a full replica. Every executed
+// A Store runs n processes, each holding a full replica — the Figure 4/6
+// replica (internal/mlin) over an atomic broadcaster. The locking and
+// causal protocols (internal/oolock, internal/causal) run without a
+// Store; BuildHistory and VerifyOO check their records. Every executed
 // m-operation is recorded; History() reconstructs the formal execution
 // history (with the exact reads-from relation, derived from the
 // protocols' version-vector timestamps per D5.1/D5.6), and Verify()
@@ -21,14 +24,12 @@ import (
 	"time"
 
 	"moc/internal/abcast"
-	"moc/internal/causal"
 	"moc/internal/checker"
 	"moc/internal/history"
 	"moc/internal/mlin"
 	"moc/internal/mop"
 	"moc/internal/network"
 	"moc/internal/object"
-	"moc/internal/oolock"
 	"moc/internal/recovery"
 	"moc/internal/shard"
 )
@@ -44,14 +45,6 @@ const (
 	// MLinearizable: queries additionally collect the freshest versions
 	// from all processes (Figure 6).
 	MLinearizable
-	// MLinearizableLocking: m-linearizability under the OO-constraint —
-	// per-object homes with ordered exclusive locking instead of atomic
-	// broadcast (internal/oolock). No replication, no broadcaster.
-	MLinearizableLocking
-	// MCausal: m-causal consistency (extension beyond the paper's own
-	// protocols; see internal/causal) — updates apply locally and
-	// disseminate with causal ordering; no synchronization at all.
-	MCausal
 )
 
 // String names the consistency condition.
@@ -61,10 +54,6 @@ func (c Consistency) String() string {
 		return "m-sequential"
 	case MLinearizable:
 		return "m-linearizable"
-	case MLinearizableLocking:
-		return "m-linearizable-locking"
-	case MCausal:
-		return "m-causal"
 	default:
 		return fmt.Sprintf("Consistency(%d)", int(c))
 	}
@@ -109,8 +98,7 @@ type Config struct {
 	// network.NewLink. This is how cmd/mocd runs the store over TCP
 	// (internal/transport). Nil keeps the simulated network. A factory
 	// cannot be combined with Faults (fault injection is a property of
-	// the simulated network) and is only supported for the broadcast
-	// protocols (MSequential, MLinearizable).
+	// the simulated network).
 	Links network.Factory
 	// Epoch, when non-zero, anchors the store's clock: Inv/Resp record
 	// timestamps are nanoseconds since Epoch instead of since store
@@ -147,8 +135,7 @@ type Config struct {
 	// it flushes when the pipeline is idle and when its own flush is
 	// delivered back, so BatchWindow is not a fill wait but the longest
 	// an update waits when that delivery is lost (a crashed issuer).
-	// Zero values keep today's one-frame-per-update behavior.
-	// Broadcast consistencies only (MSequential, MLinearizable). In a
+	// Zero values keep today's one-frame-per-update behavior. In a
 	// multi-daemon deployment every daemon must use the same values.
 	BatchSize   int
 	BatchWindow time.Duration
@@ -156,7 +143,7 @@ type Config struct {
 	// outstanding at once (pipelined issuance). Each concurrent slot is
 	// recorded as its own issuing lane — a virtual process id — so
 	// histories stay well-formed. Default 1 (today's one-at-a-time
-	// behavior). Broadcast consistencies only.
+	// behavior).
 	MaxInflight int
 	// Recovery forces the checkpoint-transfer service on even without a
 	// simulated crash schedule, so a store running over real links
@@ -175,9 +162,9 @@ type Config struct {
 	// trace file so a SIGKILL loses at most the operations still in
 	// flight. The sink is called under the store's record mutex, one
 	// record at a time in response order (strictly increasing Resp). It
-	// runs on the completing operation's path — for the broadcast
-	// protocols, one of their delivery or message loops or timers — so it
-	// should return quickly, and it must not call back into the store.
+	// runs on the completing operation's path — one of the replica's
+	// delivery or message loops or timers — so it should return quickly,
+	// and it must not call back into the store.
 	RecordSink func(mop.Record)
 	// Shards partitions the object space into this many shards (object
 	// id mod Shards), each with its own independent atomic-broadcast
@@ -186,10 +173,9 @@ type Config struct {
 	// several are merged into every involved shard's schedule by a
 	// ticket/commit round (internal/shard), so per-shard schedules stay
 	// deterministic across replicas and disjoint shards never wait on
-	// each other. Broadcast consistencies only (MSequential,
-	// MLinearizable); incompatible with Recovery, scheduled crash
-	// faults, and an explicit FD config (per-lane failover is not
-	// coordinated). Requires Shards <= len(Objects).
+	// each other. Incompatible with Recovery, scheduled crash faults, and
+	// an explicit FD config (per-lane failover is not coordinated).
+	// Requires Shards <= len(Objects).
 	Shards int
 }
 
@@ -235,32 +221,15 @@ type Result struct {
 	IsConsistent bool
 }
 
-// executor abstracts the protocol implementations behind the unified
-// options-struct entry point.
-type executor interface {
-	Exec(proc int, pr mop.Procedure, opts mop.ExecOptions) (mop.Record, error)
-	Close()
-}
-
-// submitFunc issues one m-operation of process proc. done receives the
-// operation's record or error exactly once, possibly before submitFunc
-// returns; an error return means nothing was issued and done will not
-// be called.
-type submitFunc func(proc int, pr mop.Procedure, opts mop.ExecOptions, done func(mop.Record, error)) error
-
 // Store is a replicated multi-object shared memory.
 type Store struct {
-	cfg        Config
-	reg        *object.Registry
-	exec       executor
-	submit     submitFunc         // how every m-operation is issued and completed
-	bcast      abcast.Broadcaster // nil for the locking protocol
-	smap       *shard.Map         // non-nil iff Config.Shards > 1
-	mlinImpl   *mlin.Protocol     // non-nil iff Consistency is MSequential or MLinearizable
-	lockImpl   *oolock.Protocol   // non-nil iff Consistency == MLinearizableLocking
-	causalImpl *causal.Protocol   // non-nil iff Consistency == MCausal
-	procs      []*Process
-	stopCh     chan struct{} // closed by Close; releases lane waiters
+	cfg     Config
+	reg     *object.Registry
+	replica *mlin.Protocol // the Figure 4/6 replica; owns bcast
+	bcast   abcast.Broadcaster
+	smap    *shard.Map // non-nil iff Config.Shards > 1
+	procs   []*Process
+	stopCh  chan struct{} // closed by Close; releases lane waiters
 
 	// recov serves checkpointed state transfer for crash recovery; the
 	// watcher goroutines trigger a Recover for every scheduled restart.
@@ -268,8 +237,7 @@ type Store struct {
 	watchStop chan struct{}
 	watchWg   sync.WaitGroup
 
-	lastNano atomic.Int64
-	origin   time.Time
+	clock *mop.Clock
 
 	// mu is the record mutex: Resp stamping, the records append and the
 	// RecordSink call happen under it, so records are captured in
@@ -278,10 +246,9 @@ type Store struct {
 	// the append, so a reader that sees zero under mu holds the record of
 	// every operation issued so far — never a query without the update
 	// it read from.
-	mu        sync.Mutex
-	records   []mop.Record
-	inFlight  atomic.Int64
-	lastBuild *buildResult // most recent reconstruction (quiescent state)
+	mu       sync.Mutex
+	records  []mop.Record
+	inFlight atomic.Int64
 
 	closed atomic.Bool
 }
@@ -332,29 +299,20 @@ func New(cfg Config) (*Store, error) {
 	if cfg.Consistency == 0 {
 		cfg.Consistency = MLinearizable
 	}
+	if cfg.Consistency != MSequential && cfg.Consistency != MLinearizable {
+		return nil, fmt.Errorf("core: unknown consistency %d", int(cfg.Consistency))
+	}
 	if cfg.Broadcast == 0 {
 		cfg.Broadcast = SequencerBroadcast
 	}
-	if cfg.Links != nil {
-		if cfg.Faults != nil {
-			return nil, errors.New("core: Links cannot be combined with Faults (fault injection is simulated-network only)")
-		}
-		if cfg.Consistency != MSequential && cfg.Consistency != MLinearizable {
-			return nil, fmt.Errorf("core: Links is not supported for %v (broadcast protocols only)", cfg.Consistency)
-		}
+	if cfg.Links != nil && cfg.Faults != nil {
+		return nil, errors.New("core: Links cannot be combined with Faults (fault injection is simulated-network only)")
 	}
 	if cfg.BatchSize < 0 || cfg.BatchWindow < 0 || cfg.MaxInflight < 0 {
 		return nil, errors.New("core: BatchSize, BatchWindow and MaxInflight must be non-negative")
 	}
 	batching := cfg.BatchSize > 1 || cfg.BatchWindow > 0
-	if (batching || cfg.MaxInflight > 1) &&
-		cfg.Consistency != MSequential && cfg.Consistency != MLinearizable {
-		return nil, fmt.Errorf("core: batching and pipelining are not supported for %v (broadcast protocols only)", cfg.Consistency)
-	}
 	if cfg.Recovery {
-		if cfg.Consistency != MSequential && cfg.Consistency != MLinearizable {
-			return nil, fmt.Errorf("core: Recovery is not supported for %v (broadcast protocols only)", cfg.Consistency)
-		}
 		if cfg.Broadcast != SequencerBroadcast && cfg.Broadcast != 0 {
 			return nil, errors.New("core: Recovery requires SequencerBroadcast (rejoin fast-forwards the sequencer delivery sequence)")
 		}
@@ -371,9 +329,6 @@ func New(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("core: invalid shard count %d", cfg.Shards)
 	}
 	if cfg.Shards > 1 {
-		if cfg.Consistency != MSequential && cfg.Consistency != MLinearizable {
-			return nil, fmt.Errorf("core: Shards is not supported for %v (broadcast protocols only)", cfg.Consistency)
-		}
 		if cfg.Recovery {
 			return nil, errors.New("core: Shards cannot be combined with Recovery (checkpoints carry a single total-order prefix)")
 		}
@@ -411,42 +366,7 @@ func New(cfg Config) (*Store, error) {
 	if !cfg.Epoch.IsZero() {
 		origin = cfg.Epoch
 	}
-	s := &Store{cfg: cfg, reg: reg, origin: origin, stopCh: make(chan struct{})}
-
-	if cfg.Consistency == MCausal {
-		p, err := causal.New(causal.Config{
-			Procs: cfg.Procs, Reg: reg,
-			Seed: cfg.Seed, MinDelay: cfg.MinDelay, MaxDelay: cfg.MaxDelay,
-			Faults: cfg.Faults,
-			Clock:  s.now,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.exec, s.causalImpl = p, p
-		s.submit = s.execInGoroutine
-		s.makeProcs()
-		return s, nil
-	}
-
-	if cfg.Consistency == MLinearizableLocking {
-		p, err := oolock.New(oolock.Config{
-			Procs: cfg.Procs, Reg: reg,
-			Seed: cfg.Seed, MinDelay: cfg.MinDelay, MaxDelay: cfg.MaxDelay,
-			Faults: cfg.Faults,
-			Clock:  s.now,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.exec, s.lockImpl = p, p
-		s.submit = s.execInGoroutine
-		s.makeProcs()
-		return s, nil
-	}
-	if cfg.Consistency != MSequential && cfg.Consistency != MLinearizable {
-		return nil, fmt.Errorf("core: unknown consistency %d", int(cfg.Consistency))
-	}
+	s := &Store{cfg: cfg, reg: reg, clock: mop.NewClock(origin), stopCh: make(chan struct{})}
 
 	// makeLane builds one atomic-broadcast instance on the given channel
 	// with the given seed. endpoint >= 0 places a sequencer lane's
@@ -534,7 +454,7 @@ func New(cfg Config) (*Store, error) {
 		Procs: cfg.Procs, Reg: reg, Broadcast: bcast, Sequential: cfg.Consistency == MSequential,
 		Seed: cfg.Seed + 1, MinDelay: cfg.MinDelay, MaxDelay: cfg.MaxDelay,
 		Faults: cfg.Faults, Links: cfg.Links,
-		RelevantOnly: cfg.RelevantOnly, Clock: s.now,
+		RelevantOnly: cfg.RelevantOnly, Clock: s.clock.Now,
 		QueryTimeout: cfg.QueryTimeout, QueryRetries: cfg.QueryRetries,
 		Shards: cfg.Shards,
 	})
@@ -542,12 +462,16 @@ func New(cfg Config) (*Store, error) {
 		bcast.Close()
 		return nil, err
 	}
-	// Submit completes every m-operation on the goroutine that sees its
-	// last event: a protocol loop, a query timer, or — for a local read —
-	// this caller.
-	s.exec, s.mlinImpl, s.submit = p, p, p.Submit
-	s.bcast = bcast
-	s.makeProcs()
+	s.replica, s.bcast = p, bcast
+	// One lane token per permitted in-flight operation.
+	inflight := max(cfg.MaxInflight, 1)
+	s.procs = make([]*Process, cfg.Procs)
+	for i := range s.procs {
+		s.procs[i] = &Process{store: s, id: i, lanes: make(chan int, inflight)}
+		for l := 0; l < inflight; l++ {
+			s.procs[i].lanes <- l
+		}
+	}
 
 	// Checkpointed recovery: when crashes with restarts are scheduled —
 	// or Config.Recovery forces the service on for deployments whose
@@ -556,23 +480,16 @@ func New(cfg Config) (*Store, error) {
 	// process lanes so no operation runs at the rejoining process until
 	// its state is fresh. Real deployments call Store.Recover instead.
 	if hasCrashes || cfg.Recovery {
-		state, ok := s.exec.(recovery.State)
-		if !ok && cfg.Recovery {
-			s.exec.Close()
-			return nil, fmt.Errorf("core: Recovery is not supported for %v (executor has no checkpoint state)", cfg.Consistency)
+		s.recov, err = recovery.New(recovery.Config{
+			Procs: cfg.Procs, State: p,
+			Seed: cfg.Seed + 2, MinDelay: cfg.MinDelay, MaxDelay: cfg.MaxDelay,
+			Faults: cfg.Faults, Links: cfg.Links,
+		})
+		if err != nil {
+			p.Close()
+			return nil, err
 		}
-		if ok {
-			s.recov, err = recovery.New(recovery.Config{
-				Procs: cfg.Procs, State: state,
-				Seed: cfg.Seed + 2, MinDelay: cfg.MinDelay, MaxDelay: cfg.MaxDelay,
-				Faults: cfg.Faults, Links: cfg.Links,
-			})
-			if err != nil {
-				s.exec.Close()
-				return nil, err
-			}
-		}
-		if hasCrashes && s.recov != nil {
+		if hasCrashes {
 			s.watchStop = make(chan struct{})
 			for _, cr := range cfg.Faults.Crashes {
 				if cr.Restart <= 0 {
@@ -586,30 +503,13 @@ func New(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// makeProcs builds the process handles, seeding each with one lane
-// token per permitted in-flight operation.
-func (s *Store) makeProcs() {
-	inflight := s.cfg.MaxInflight
-	if inflight < 1 {
-		inflight = 1
-	}
-	s.procs = make([]*Process, s.cfg.Procs)
-	for i := range s.procs {
-		p := &Process{store: s, id: i, lanes: make(chan int, inflight)}
-		for l := 0; l < inflight; l++ {
-			p.lanes <- l
-		}
-		s.procs[i] = p
-	}
-}
-
 // watchRestart sleeps until just after the scheduled restart instant and
 // runs one checkpointed recovery for the rejoining process. Every
 // issuing lane is held across the transfer — the process is quiesced —
 // so the first post-restart operation observes the recovered state.
 func (s *Store) watchRestart(proc int, at time.Duration) {
 	defer s.watchWg.Done()
-	timer := time.NewTimer(at - time.Since(s.origin))
+	timer := time.NewTimer(at - time.Duration(s.clock.Now()))
 	defer timer.Stop()
 	select {
 	case <-timer.C:
@@ -617,10 +517,10 @@ func (s *Store) watchRestart(proc int, at time.Duration) {
 		return
 	}
 	// The transfer network's fault clock starts at its creation, which
-	// trails s.origin by the store's construction time, so the nominal
-	// restart instant can land marginally inside the network's crash
-	// window — where every transfer request is silently dropped. Poll
-	// until the network itself reports the process up.
+	// trails the store clock's origin by the store's construction time,
+	// so the nominal restart instant can land marginally inside the
+	// network's crash window — where every transfer request is silently
+	// dropped. Poll until the network itself reports the process up.
 	for !s.recov.Up(proc) {
 		select {
 		case <-time.After(500 * time.Microsecond):
@@ -715,22 +615,6 @@ func (s *Store) Drain(timeout time.Duration) error {
 	return nil
 }
 
-// now is a strictly increasing clock: real monotonic time, nudged forward
-// by at least 1ns per reading so that event times are unique and
-// well-formedness (resp < inv of the next m-operation) always holds.
-func (s *Store) now() int64 {
-	real := time.Since(s.origin).Nanoseconds()
-	for {
-		last := s.lastNano.Load()
-		if real <= last {
-			real = last + 1
-		}
-		if s.lastNano.CompareAndSwap(last, real) {
-			return real
-		}
-	}
-}
-
 // Registry returns the store's object registry.
 func (s *Store) Registry() *object.Registry { return s.reg }
 
@@ -782,11 +666,11 @@ func (s *Store) Close() {
 	if s.recov != nil {
 		s.recov.Close() // unblocks any in-flight Recover
 	}
-	// Close the executor before waiting for the restart watchers: a
-	// watcher blocks on the process mutex, which an in-flight Execute
-	// holds until the executor's shutdown errors it out — waiting first
+	// Close the replica before waiting for the restart watchers: a
+	// watcher blocks on the process lanes, which an in-flight operation
+	// holds until the replica's shutdown errors it out — waiting first
 	// would deadlock a Close issued while operations are still running.
-	s.exec.Close()
+	s.replica.Close()
 	s.watchWg.Wait()
 }
 
@@ -809,14 +693,8 @@ func (s *Store) RecoveryTraffic() network.Stats {
 }
 
 // BroadcastCost returns the atomic-broadcast network traffic incurred so
-// far as (messages, bytes); zero for the locking protocol, which has no
-// broadcaster.
-func (s *Store) BroadcastCost() (int64, int64) {
-	if s.bcast == nil {
-		return 0, 0
-	}
-	return s.bcast.MessageCost()
-}
+// far as (messages, bytes).
+func (s *Store) BroadcastCost() (int64, int64) { return s.bcast.MessageCost() }
 
 // BatchStats reports the broadcast-layer group-commit meters: total
 // flushes, flushes that coalesced two or more updates, and the updates
@@ -828,43 +706,19 @@ func (s *Store) BatchStats() (flushes, batches, batched int64) {
 	return 0, 0, 0
 }
 
-// LockTraffic returns the locking protocol's network counters (zero for
-// the broadcast protocols).
-func (s *Store) LockTraffic() network.Stats {
-	if s.lockImpl == nil {
-		return network.Stats{ByKind: map[string]network.KindStats{}}
-	}
-	return s.lockImpl.Traffic()
-}
-
 // QueryTraffic returns the m-linearizable query network's counters
 // (zero-valued for m-sequential stores, whose queries are local).
-func (s *Store) QueryTraffic() network.Stats {
-	if s.mlinImpl == nil {
-		return network.Stats{ByKind: map[string]network.KindStats{}}
-	}
-	return s.mlinImpl.QueryTraffic()
-}
+func (s *Store) QueryTraffic() network.Stats { return s.replica.QueryTraffic() }
 
 // NetStats aggregates transport counters — including fault-injection
 // drops/duplicates and reliable-layer retransmissions — across every
-// network the store runs on (broadcast, query, locking, dissemination).
-// In a fault-free run the Dropped/Duplicated/Retransmitted counters are
-// all zero.
+// network the store runs on (broadcast, query, recovery). In a
+// fault-free run the Dropped/Duplicated/Retransmitted counters are all
+// zero.
 func (s *Store) NetStats() network.Stats {
 	var st network.Stats
-	if s.bcast != nil {
-		st.Merge(s.bcast.NetStats())
-	}
-	if s.mlinImpl != nil {
-		st.Merge(s.mlinImpl.QueryTraffic())
-	}
-	if s.lockImpl != nil {
-		st.Merge(s.lockImpl.Traffic())
-	}
-	if s.causalImpl != nil {
-		st.Merge(s.causalImpl.Traffic())
-	}
+	st.Merge(s.bcast.NetStats())
+	st.Merge(s.replica.QueryTraffic())
 	if s.recov != nil {
 		st.Merge(s.recov.Traffic())
 	}
@@ -907,11 +761,9 @@ func (p *Process) ExecAsync(pr mop.Procedure, opts ExecOptions) (*Future, error)
 
 	s.inFlight.Add(1)
 	f := &Future{done: make(chan struct{})}
-	// The completion runs wherever the executor generates the response:
-	// for m-SC and m-lin, on one of the protocol's loops or timers or,
-	// for a local read, this caller; for oolock and causal, on a
-	// goroutine of its own.
-	err := s.submit(p.id, pr, opts, func(rec mop.Record, err error) {
+	// The completion runs wherever the replica generates the response:
+	// on one of its loops or timers or, for a local read, this caller.
+	err := s.replica.Submit(p.id, pr, opts, func(rec mop.Record, err error) {
 		if err != nil {
 			s.inFlight.Add(-1)
 			f.err = err
@@ -938,21 +790,13 @@ func (p *Process) ExecAsync(pr mop.Procedure, opts ExecOptions) (*Future, error)
 	return f, nil
 }
 
-// execInGoroutine is the submit path of executors that only have a
-// blocking Exec (oolock and causal): the operation runs on its own
-// goroutine.
-func (s *Store) execInGoroutine(proc int, pr mop.Procedure, opts mop.ExecOptions, done func(mop.Record, error)) error {
-	go func() { done(s.exec.Exec(proc, pr, opts)) }()
-	return nil
-}
-
 // record is the record step of a completed m-operation: under the
 // record mutex it stamps the response, appends the record and hands it
 // to the RecordSink, so records are captured in response order; then
 // the operation leaves the in-flight count.
 func (s *Store) record(rec *mop.Record) {
 	s.mu.Lock()
-	rec.Resp = s.now()
+	rec.Resp = s.clock.Now()
 	if !s.cfg.DisableRecording {
 		s.records = append(s.records, *rec)
 	}
@@ -1050,35 +894,6 @@ type VerifyResult struct {
 // OK=false with nil error indicates a genuine consistency violation —
 // which, per Theorems 15 and 20, would be a protocol bug.
 func (s *Store) Verify() (VerifyResult, error) {
-	h, updates, err := s.buildHistory()
-	if err != nil {
-		return VerifyResult{}, err
-	}
-	if s.cfg.Consistency == MCausal {
-		// m-causal consistency has no Theorem 7 shortcut; the exact
-		// per-view decider is used (runs are kept small in tests).
-		res, err := checker.MCausallyConsistent(h)
-		if err != nil {
-			return VerifyResult{History: h}, err
-		}
-		return VerifyResult{OK: res.Consistent, History: h}, nil
-	}
-
-	if s.cfg.Consistency == MLinearizableLocking {
-		// The locking protocol synchronizes per object: the history is
-		// under the OO-constraint, with the sync order derived from the
-		// per-object version chains (Theorem 7, OO branch).
-		s.mu.Lock()
-		br := s.lastBuild
-		s.mu.Unlock()
-		sync := ooSync(br, s.reg.Len())
-		res, err := checker.AdmissibleUnderConstraintBase(h, history.MLinearizableBase, sync, checker.OO)
-		if err != nil {
-			return VerifyResult{History: h}, err
-		}
-		return VerifyResult{OK: res.Admissible, Witness: res.Witness, History: h}, nil
-	}
-
 	base := history.MSequentialBase
 	if s.cfg.Consistency == MLinearizable {
 		base = history.MLinearizableBase
@@ -1092,15 +907,15 @@ func (s *Store) Verify() (VerifyResult, error) {
 		// the order the composed schedules did enforce, and they put
 		// the history under the OO-constraint (Theorem 7, OO branch —
 		// the same derivation the locking protocol uses).
-		s.mu.Lock()
-		br := s.lastBuild
-		s.mu.Unlock()
-		sync := ooSync(br, s.reg.Len())
-		res, err := checker.AdmissibleUnderConstraintBase(h, base, sync, checker.OO)
+		recs, err := s.quiescentRecords()
 		if err != nil {
-			return VerifyResult{History: h}, err
+			return VerifyResult{}, err
 		}
-		return VerifyResult{OK: res.Admissible, Witness: res.Witness, History: h}, nil
+		return VerifyOO(s.reg, recs, base)
+	}
+	h, updates, err := s.buildHistory()
+	if err != nil {
+		return VerifyResult{}, err
 	}
 	sync := checker.SyncFromUpdates(h, updates)
 	res, err := checker.AdmissibleUnderConstraintBase(h, base, sync, checker.WW)
@@ -1126,26 +941,15 @@ func (s *Store) VerifyExact() (VerifyResult, error) {
 	if err != nil {
 		return VerifyResult{}, err
 	}
-	switch s.cfg.Consistency {
-	case MCausal:
-		res, err := checker.MCausallyConsistent(h)
-		if err != nil {
-			return VerifyResult{History: h}, err
-		}
-		return VerifyResult{OK: res.Consistent, History: h}, nil
-	case MSequential:
-		res, err := checker.MSequentiallyConsistent(h)
-		if err != nil {
-			return VerifyResult{History: h}, err
-		}
-		return VerifyResult{OK: res.Admissible, Witness: res.Witness, History: h}, nil
-	default: // MLinearizable, MLinearizableLocking
-		res, err := checker.MLinearizable(h)
-		if err != nil {
-			return VerifyResult{History: h}, err
-		}
-		return VerifyResult{OK: res.Admissible, Witness: res.Witness, History: h}, nil
+	check := checker.MLinearizable
+	if s.cfg.Consistency == MSequential {
+		check = checker.MSequentiallyConsistent
 	}
+	res, err := check(h)
+	if err != nil {
+		return VerifyResult{History: h}, err
+	}
+	return VerifyResult{OK: res.Admissible, Witness: res.Witness, History: h}, nil
 }
 
 // VerifyLeveled re-checks a mixed-level execution with the exact

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,8 +31,14 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Procs: 1, Objects: []string{"x", "x"}}); err == nil {
 		t.Fatal("duplicate objects accepted")
 	}
-	if _, err := New(Config{Procs: 1, Objects: []string{"x"}, Consistency: Consistency(9)}); err == nil {
-		t.Fatal("unknown consistency accepted")
+	// 3 and 4 were the locking and causal modes, which are standalone
+	// protocols now: a stale caller must fail loudly, not silently get
+	// a different store.
+	for _, c := range []Consistency{3, 4, 9} {
+		_, err := New(Config{Procs: 1, Objects: []string{"x"}, Consistency: c})
+		if err == nil || !strings.Contains(err.Error(), "unknown consistency") {
+			t.Fatalf("Consistency(%d): err = %v, want unknown consistency", int(c), err)
+		}
 	}
 	if _, err := New(Config{Procs: 1, Objects: []string{"x"}, Broadcast: BroadcastKind(9)}); err == nil {
 		t.Fatal("unknown broadcast accepted")
@@ -453,7 +460,7 @@ func TestVerifyWitnessRespectsSemantics(t *testing.T) {
 }
 
 func TestVerifyExactAgreesWithVerify(t *testing.T) {
-	for _, cons := range []Consistency{MSequential, MLinearizable, MLinearizableLocking, MCausal} {
+	for _, cons := range []Consistency{MSequential, MLinearizable} {
 		s := newStore(t, Config{Procs: 2, Consistency: cons, Seed: 41})
 		p0, _ := s.Process(0)
 		p1, _ := s.Process(1)

@@ -14,14 +14,13 @@ import (
 	"moc/internal/workload"
 )
 
-// TestSoakAllProtocols drives every protocol implementation through
-// randomized multi-object workloads across several seeds and validates
-// each run on every applicable layer:
+// TestSoakAllProtocols drives both store modes (the locking and causal
+// protocols soak in their own packages) through randomized multi-object
+// workloads across several seeds and validates each run on every layer:
 //
 //   - Store.Verify (the protocol's own guarantee);
 //   - the exact decider (cross-check, runs are small);
-//   - the P5.x axiom validator and the streaming monitor (for
-//     version-vector protocols);
+//   - the P5.x axiom validator and the streaming monitor;
 //   - the consistency hierarchy (a verified level implies all weaker
 //     levels).
 //
@@ -36,7 +35,6 @@ func TestSoakAllProtocols(t *testing.T) {
 		cons       Consistency
 		exactCheck func(*testing.T, *VerifyResult)
 		monitorLvl monitor.Level
-		monitored  bool
 	}
 	cases := []protoCase{
 		{
@@ -51,7 +49,6 @@ func TestSoakAllProtocols(t *testing.T) {
 				}
 			},
 			monitorLvl: monitor.MSCLevel,
-			monitored:  true,
 		},
 		{
 			cons: MLinearizable,
@@ -65,34 +62,6 @@ func TestSoakAllProtocols(t *testing.T) {
 				}
 			},
 			monitorLvl: monitor.MLinLevel,
-			monitored:  true,
-		},
-		{
-			cons: MLinearizableLocking,
-			exactCheck: func(t *testing.T, res *VerifyResult) {
-				exact, err := checker.MLinearizable(res.History)
-				if err != nil {
-					t.Fatalf("exact: %v", err)
-				}
-				if !exact.Admissible {
-					t.Fatal("exact m-lin check failed (locking)")
-				}
-			},
-			monitorLvl: monitor.MLinLevel,
-			monitored:  true,
-		},
-		{
-			cons: MCausal,
-			exactCheck: func(t *testing.T, res *VerifyResult) {
-				causal, err := checker.MCausallyConsistent(res.History)
-				if err != nil {
-					t.Fatalf("exact: %v", err)
-				}
-				if !causal.Consistent {
-					t.Fatal("exact m-causal check failed")
-				}
-			},
-			monitored: false,
 		},
 	}
 
@@ -161,19 +130,17 @@ func TestSoakAllProtocols(t *testing.T) {
 					t.Fatalf("seed %d: hierarchy violated: %v-verified but not m-causal", seed, pc.cons)
 				}
 
-				if pc.monitored {
-					recs := s.Records()
-					sort.Slice(recs, func(i, j int) bool { return recs[i].Resp < recs[j].Resp })
-					if v := monitor.ValidateAxioms(recs, 4, pc.monitorLvl); len(v) != 0 {
-						t.Fatalf("seed %d: axiom violations: %v", seed, v)
-					}
-					m := monitor.NewMonitor(4, pc.monitorLvl)
-					for _, rec := range recs {
-						m.Observe(rec)
-					}
-					if v := m.Finish(); len(v) != 0 {
-						t.Fatalf("seed %d: monitor violations: %v", seed, v)
-					}
+				recs := s.Records()
+				sort.Slice(recs, func(i, j int) bool { return recs[i].Resp < recs[j].Resp })
+				if v := monitor.ValidateAxioms(recs, 4, pc.monitorLvl); len(v) != 0 {
+					t.Fatalf("seed %d: axiom violations: %v", seed, v)
+				}
+				m := monitor.NewMonitor(4, pc.monitorLvl)
+				for _, rec := range recs {
+					m.Observe(rec)
+				}
+				if v := m.Finish(); len(v) != 0 {
+					t.Fatalf("seed %d: monitor violations: %v", seed, v)
 				}
 				s.Close()
 			}

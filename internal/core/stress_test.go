@@ -1,13 +1,11 @@
 package core
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"moc/internal/object"
-	"moc/internal/workload"
 )
 
 // TestStressEightProcesses scales each protocol to 8 processes × 24
@@ -18,7 +16,7 @@ func TestStressEightProcesses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in -short")
 	}
-	for _, cons := range []Consistency{MSequential, MLinearizable, MLinearizableLocking} {
+	for _, cons := range []Consistency{MSequential, MLinearizable} {
 		cons := cons
 		t.Run(cons.String(), func(t *testing.T) {
 			t.Parallel()
@@ -123,52 +121,3 @@ func TestSameProcessExecutesSerialize(t *testing.T) {
 		t.Fatalf("Verify = %+v, %v", res, err)
 	}
 }
-
-// TestHotContentionWorkload drives a skewed (hot-set) mix through the
-// locking protocol — the adversarial case for per-object locking — and
-// verifies correctness is unaffected.
-func TestHotContentionWorkload(t *testing.T) {
-	s := newStore(t, Config{
-		Procs: 4, Objects: []string{"h0", "h1", "c0", "c1", "c2", "c3"},
-		Consistency: MLinearizableLocking, Seed: 33,
-	})
-	mix := workload.Mix{ReadFrac: 0.3, Span: 2, OpsPerProc: 8, HotFrac: 0.8, HotObjects: 2}
-	plans := mix.Plan(4, 6, newRand(33))
-	var wg sync.WaitGroup
-	errCh := make(chan error, 4)
-	for pi := 0; pi < 4; pi++ {
-		p, _ := s.Process(pi)
-		wg.Add(1)
-		go func(plan []workload.Op, p *Process) {
-			defer wg.Done()
-			for _, op := range plan {
-				var err error
-				if op.Query {
-					_, err = p.MultiRead(op.Objs...)
-				} else {
-					writes := make(map[object.ID]object.Value, len(op.Objs))
-					for i, x := range op.Objs {
-						writes[x] = op.Vals[i]
-					}
-					err = p.MAssign(writes)
-				}
-				if err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}(plans[pi], p)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
-	}
-	res, err := s.Verify()
-	if err != nil || !res.OK {
-		t.Fatalf("Verify = %+v, %v", res, err)
-	}
-}
-
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

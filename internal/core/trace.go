@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"moc/internal/checker"
 	"moc/internal/history"
 	"moc/internal/mop"
 	"moc/internal/object"
@@ -18,37 +19,39 @@ var ErrInFlight = errors.New("core: m-operations still in flight; quiesce before
 // DisableRecording.
 var ErrRecordingDisabled = errors.New("core: recording disabled")
 
-// buildHistory reconstructs the execution history from the captured
-// records, caching the raw material for sync-relation derivation.
-func (s *Store) buildHistory() (*history.History, []history.ID, error) {
+// quiescentRecords returns a copy of the captured records, or
+// ErrInFlight while an issued m-operation has not been recorded yet.
+func (s *Store) quiescentRecords() ([]mop.Record, error) {
 	if s.cfg.DisableRecording {
-		return nil, nil, ErrRecordingDisabled
+		return nil, ErrRecordingDisabled
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.inFlight.Load() != 0 {
-		s.mu.Unlock()
-		return nil, nil, ErrInFlight
+		return nil, ErrInFlight
 	}
 	recs := make([]mop.Record, len(s.records))
 	copy(recs, s.records)
-	s.mu.Unlock()
+	return recs, nil
+}
 
-	h, updateIDs, br, err := buildFromRecords(s.reg, recs)
+// buildHistory reconstructs the execution history from the captured
+// records.
+func (s *Store) buildHistory() (*history.History, []history.ID, error) {
+	recs, err := s.quiescentRecords()
 	if err != nil {
 		return nil, nil, err
 	}
-	s.mu.Lock()
-	s.lastBuild = br
-	s.mu.Unlock()
-	return h, updateIDs, nil
+	return BuildHistory(s.reg, recs)
 }
 
 // BuildHistory reconstructs an execution history from raw protocol
-// records — typically records merged from several processes' trace
-// dumps (MergeTraces). The records must cover a quiescent execution and
-// carry timestamps from a shared clock (Config.Epoch). The returned IDs
-// are the update m-operations in atomic-broadcast delivery order (the
-// ~ww order).
+// records — records merged from several processes' trace dumps
+// (MergeTraces), or those of a protocol driven directly
+// (internal/oolock, internal/causal). The records must cover a
+// quiescent execution and carry timestamps from a shared clock
+// (Config.Epoch, or one mop.Clock). The returned IDs are the update
+// m-operations in atomic-broadcast delivery order (the ~ww order).
 func BuildHistory(reg *object.Registry, recs []mop.Record) (*history.History, []history.ID, error) {
 	h, updateIDs, _, err := buildFromRecords(reg, recs)
 	return h, updateIDs, err
@@ -59,15 +62,16 @@ func BuildHistory(reg *object.Registry, recs []mop.Record) (*history.History, []
 // m-operation's start event names, per object, the version it read;
 // versions are mapped to writers by replaying the update m-operations in
 // atomic-broadcast delivery order (version 0 is the imaginary initial
-// m-operation). It mutates recs (sorting by invocation time).
-func buildFromRecords(reg *object.Registry, recs []mop.Record) (*history.History, []history.ID, *buildResult, error) {
+// m-operation). It mutates recs (sorting by invocation time); ids[i] is
+// the history ID of recs[i].
+func buildFromRecords(reg *object.Registry, recs []mop.Record) (h *history.History, updateIDs, ids []history.ID, err error) {
 	// Deterministic builder order: by invocation time (unique within one
-	// store by construction of s.now; merged multi-store records rely on
-	// the shared epoch).
+	// store or protocol by its mop.Clock; merged multi-store records rely
+	// on the shared epoch).
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Inv < recs[j].Inv })
 
 	b := history.NewBuilder(reg)
-	ids := make([]history.ID, len(recs))
+	ids = make([]history.ID, len(recs))
 	for i, rec := range recs {
 		ids[i] = b.Add(rec.Proc, rec.Inv, rec.Resp, rec.Ops...)
 		// The certified per-request consistency level rides into the
@@ -108,7 +112,7 @@ func buildFromRecords(reg *object.Registry, recs []mop.Record) (*history.History
 		writerOf[x] = map[int64]history.ID{0: history.InitID}
 	}
 	writerByTag := map[mop.WriteTag]history.ID{mop.InitTag: history.InitID}
-	updateIDs := make([]history.ID, 0, len(updates))
+	updateIDs = make([]history.ID, 0, len(updates))
 	for i, rec := range recs {
 		if rec.WriteTags != nil {
 			for _, tag := range rec.WriteTags {
@@ -159,20 +163,30 @@ func buildFromRecords(reg *object.Registry, recs []mop.Record) (*history.History
 		}
 	}
 
-	h, err := b.Build()
+	h, err = b.Build()
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("core: build history: %w", err)
 	}
-	return h, updateIDs, &buildResult{h: h, recs: recs, ids: ids}, nil
+	return h, updateIDs, ids, nil
 }
 
-// buildResult caches the most recent reconstruction's raw material for
-// sync-relation derivation. Guarded by s.mu via buildHistory's caller
-// pattern (buildHistory itself is only entered after quiescence).
-type buildResult struct {
-	h    *history.History
-	recs []mop.Record
-	ids  []history.ID
+// VerifyOO reconstructs the history of recs and checks it against base
+// with the polynomial Theorem 7 procedure under the OO-constraint, the
+// synchronization order derived from the per-object version chains
+// (ooSync). It serves every execution that orders conflicting
+// m-operations per object rather than globally: a sharded store and the
+// OO-constraint locking protocol (internal/oolock, at
+// history.MLinearizableBase). It sorts recs by invocation time.
+func VerifyOO(reg *object.Registry, recs []mop.Record, base history.BaseRelation) (VerifyResult, error) {
+	h, _, ids, err := buildFromRecords(reg, recs)
+	if err != nil {
+		return VerifyResult{}, err
+	}
+	res, err := checker.AdmissibleUnderConstraintBase(h, base, ooSync(h, recs, ids, reg.Len()), checker.OO)
+	if err != nil {
+		return VerifyResult{History: h}, err
+	}
+	return VerifyResult{OK: res.Admissible, Witness: res.Witness, History: h}, nil
 }
 
 // ooSync derives the per-object synchronization order the locking
@@ -181,15 +195,15 @@ type buildResult struct {
 // which precedes the writer of version v+1. The result puts the history
 // under the OO-constraint (every conflicting pair shares an object and
 // is chained through its version order).
-func ooSync(br *buildResult, numObjects int) *history.Relation {
-	sync := history.NewRelation(br.h.Len())
+func ooSync(h *history.History, recs []mop.Record, ids []history.ID, numObjects int) *history.Relation {
+	sync := history.NewRelation(h.Len())
 	for x := 0; x < numObjects; x++ {
 		xid := object.ID(x)
 		writerOf := map[int64]history.ID{0: history.InitID}
 		maxV := int64(0)
-		for i, rec := range br.recs {
+		for i, rec := range recs {
 			if v, ok := rec.VersionedWrites()[xid]; ok {
-				writerOf[v] = br.ids[i]
+				writerOf[v] = ids[i]
 				if v > maxV {
 					maxV = v
 				}
@@ -204,7 +218,7 @@ func ooSync(br *buildResult, numObjects int) *history.Relation {
 			}
 		}
 		// Readers between consecutive writers.
-		for i, rec := range br.recs {
+		for i, rec := range recs {
 			if !rec.Footprint.Contains(xid) {
 				continue
 			}
@@ -213,10 +227,10 @@ func ooSync(br *buildResult, numObjects int) *history.Relation {
 			}
 			v := rec.TSStart.Get(xid)
 			if w, ok := writerOf[v]; ok {
-				sync.Add(w, br.ids[i])
+				sync.Add(w, ids[i])
 			}
 			if next, ok := writerOf[v+1]; ok {
-				sync.Add(br.ids[i], next)
+				sync.Add(ids[i], next)
 			}
 		}
 	}

@@ -63,20 +63,10 @@ type TraceOp struct {
 // Trace dumps the store's recorded execution for cross-process merging.
 // The store must be quiescent (no Execute in flight), like History.
 func (s *Store) Trace(node int) (Trace, error) {
-	if s.cfg.DisableRecording {
-		return Trace{}, ErrRecordingDisabled
+	recs, err := s.quiescentRecords()
+	if err != nil {
+		return Trace{}, err
 	}
-	if s.cfg.Consistency != MSequential && s.cfg.Consistency != MLinearizable {
-		return Trace{}, fmt.Errorf("core: trace dump is not supported for %v", s.cfg.Consistency)
-	}
-	s.mu.Lock()
-	if s.inFlight.Load() != 0 {
-		s.mu.Unlock()
-		return Trace{}, ErrInFlight
-	}
-	recs := make([]mop.Record, len(s.records))
-	copy(recs, s.records)
-	s.mu.Unlock()
 
 	tr := Trace{
 		Node:        node,

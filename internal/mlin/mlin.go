@@ -148,7 +148,8 @@ type Config struct {
 	// Links optionally supplies the query-network transport (channel name
 	// "mlin.query"); nil uses the simulated network stack.
 	Links network.Factory
-	// Clock returns nanoseconds since the run origin; must be monotonic.
+	// Clock returns nanoseconds since the run origin and must be strictly
+	// increasing; nil uses a mop.Clock started at construction.
 	Clock func() int64
 	// Shards is the number of broadcast lanes of a sharded Broadcast
 	// group (internal/shard); 0 or 1 means a single total order. With
@@ -404,8 +405,7 @@ func New(cfg Config) (*Protocol, error) {
 		return nil, errors.New("mlin: registry and broadcaster are required")
 	}
 	if cfg.Clock == nil {
-		origin := time.Now()
-		cfg.Clock = func() int64 { return time.Since(origin).Nanoseconds() }
+		cfg.Clock = mop.NewClock(time.Now()).Now
 	}
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("mlin: invalid shard count %d", cfg.Shards)

@@ -1,6 +1,9 @@
 package mop
 
 import (
+	"sync/atomic"
+	"time"
+
 	"moc/internal/history"
 	"moc/internal/object"
 	"moc/internal/timestamp"
@@ -86,4 +89,31 @@ func (r Record) VersionedWrites() map[object.ID]int64 {
 		}
 	}
 	return out
+}
+
+// Clock stamps invocation and response events: real monotonic time since
+// an origin, nudged forward by at least 1ns per reading, so event times
+// are unique and a process's next invocation always follows its last
+// response (well-formedness) even where the wall clock stands still. It
+// is safe for concurrent use.
+type Clock struct {
+	origin time.Time
+	last   atomic.Int64
+}
+
+// NewClock returns a clock whose readings are nanoseconds since origin.
+func NewClock(origin time.Time) *Clock { return &Clock{origin: origin} }
+
+// Now returns the next reading, strictly greater than every earlier one.
+func (c *Clock) Now() int64 {
+	real := time.Since(c.origin).Nanoseconds()
+	for {
+		last := c.last.Load()
+		if real <= last {
+			real = last + 1
+		}
+		if c.last.CompareAndSwap(last, real) {
+			return real
+		}
+	}
 }

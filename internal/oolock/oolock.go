@@ -52,7 +52,8 @@ type Config struct {
 	// Faults optionally injects delivery faults; the reliable layer then
 	// keeps lock grants and releases exactly-once.
 	Faults *network.Faults
-	// Clock returns nanoseconds since the run origin; must be monotonic.
+	// Clock returns nanoseconds since the run origin and must be strictly
+	// increasing; nil uses a mop.Clock started at construction.
 	Clock func() int64
 }
 
@@ -124,8 +125,7 @@ func New(cfg Config) (*Protocol, error) {
 		return nil, errors.New("oolock: registry is required")
 	}
 	if cfg.Clock == nil {
-		origin := time.Now()
-		cfg.Clock = func() int64 { return time.Since(origin).Nanoseconds() }
+		cfg.Clock = mop.NewClock(time.Now()).Now
 	}
 	net, err := network.NewLink(network.Config{
 		Procs:    cfg.Procs,

@@ -40,8 +40,12 @@
 //     useful entry points are re-exported below.
 //   - The Section 5 protocols (Figures 4 and 6) share one replica,
 //     internal/mlin, over a simulated asynchronous network
-//     (internal/network) and two from-scratch atomic broadcast
-//     implementations (internal/abcast).
+//     (internal/network) and three from-scratch atomic broadcast
+//     implementations (internal/abcast); every Store is that replica.
+//   - Section 4's OO-constraint locking protocol (internal/oolock) and
+//     the m-causal extension (internal/causal) are standalone protocols
+//     with their own networks, driven directly by the experiments and
+//     cmd/mocsim; CheckMCausal decides their weakest condition.
 //   - The database-schedule substrate of the Theorem 2 reduction lives
 //     in internal/serial.
 //
@@ -146,13 +150,6 @@ const (
 	// MLinearizable is m-linearizability: queries additionally collect
 	// the freshest versions from all processes (Figure 6).
 	MLinearizable = core.MLinearizable
-	// MLinearizableLocking is m-linearizability under the OO-constraint:
-	// per-object homes with ordered exclusive locking (sharding instead
-	// of replication, Section 4's object-level synchronization).
-	MLinearizableLocking = core.MLinearizableLocking
-	// MCausal is m-causal consistency (extension beyond the paper's own
-	// protocols): updates apply locally and disseminate causally.
-	MCausal = core.MCausal
 )
 
 // Atomic broadcast implementations.

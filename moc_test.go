@@ -133,34 +133,6 @@ func TestFacadeHistoryJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFacadeLockingAndCausalModes(t *testing.T) {
-	for _, cons := range []moc.Consistency{moc.MLinearizableLocking, moc.MCausal} {
-		s, err := moc.New(moc.Config{Procs: 2, Objects: []string{"x"}, Consistency: cons})
-		if err != nil {
-			t.Fatalf("%v: New: %v", cons, err)
-		}
-		p, _ := s.Process(0)
-		if err := p.Write(0, 3); err != nil {
-			t.Fatalf("%v: Write: %v", cons, err)
-		}
-		v, err := p.Read(0)
-		if err != nil || v != 3 {
-			t.Fatalf("%v: Read = %d, %v", cons, v, err)
-		}
-		res, err := s.Verify()
-		if err != nil || !res.OK {
-			t.Fatalf("%v: Verify = %+v, %v", cons, res, err)
-		}
-		if cons == moc.MCausal {
-			causal, err := moc.CheckMCausal(res.History)
-			if err != nil || !causal.Consistent {
-				t.Fatalf("CheckMCausal = %+v, %v", causal, err)
-			}
-		}
-		s.Close()
-	}
-}
-
 func TestFacadeTokenBroadcast(t *testing.T) {
 	s, err := moc.New(moc.Config{
 		Procs: 3, Objects: []string{"x"},
