@@ -24,12 +24,15 @@ race:
 # retired codec byte, and hostile prefixes), the send-path allocation
 # gate, and the allocation ceilings of the replica's completion paths
 # (its local read, its strong query and its update, under m-SC and
-# m-lin). The race detector disables sync.Pool reuse, which charges the
-# pooled frame
+# m-lin), plus mocrpc's binary exec frames: the FuzzExecFrame seed
+# corpus (every kind and level, hostile counts, every truncation) and
+# the allocation ceiling of the server's framed exec loop. The race
+# detector disables sync.Pool reuse, which charges the pooled frame
 # buffer to every encode, so the zero-allocs assertions only hold
 # without -race — hence the separate invocation.
 codec-gate:
 	$(GO) test ./internal/transport/ -run 'FuzzReadFrame|TestSendPathZeroAllocs' -count=1
+	$(GO) test ./internal/mocrpc/ -run 'FuzzExecFrame|TestRPCExecAllocs' -count=1
 	$(GO) test ./internal/core/ -run TestExecAllocationCeiling -count=1
 	$(GO) test ./internal/shard/ -run FuzzRouting -count=1
 

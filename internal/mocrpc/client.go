@@ -2,7 +2,6 @@ package mocrpc
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -56,31 +55,36 @@ type Client struct {
 	addr        string
 	callTimeout time.Duration // guarded by mu after construction
 
-	mu     sync.Mutex
-	conn   net.Conn
-	enc    *json.Encoder
-	dec    *json.Decoder
-	nextID int64
+	mu         sync.Mutex
+	conn       net.Conn
+	r          *bufio.Reader
+	fresh      bool // no request sent on conn yet: the next carries the preamble
+	rbuf, wbuf []byte
+	nextID     int64
 }
 
 // Dial connects to a daemon's client address, retrying until the
 // deadline — daemons in a cluster come up at different times.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
 	deadline := time.Now().Add(timeout)
-	var lastErr error
-	for {
+	for attempt := 0; ; attempt++ {
 		conn, err := net.DialTimeout("tcp", addr, timeout)
 		if err == nil {
 			c := &Client{addr: addr}
 			c.attach(conn)
 			return c, nil
 		}
-		lastErr = err
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("mocrpc: dial %s: %v: %w", addr, lastErr, ErrUnavailable)
+			return nil, fmt.Errorf("mocrpc: dial %s: %v: %w", addr, err, ErrUnavailable)
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(dialBackoff(attempt))
 	}
+}
+
+// dialBackoff is Dial's pause after its attempt-th failure (counting
+// from 0): 1 ms, doubling up to 20 ms.
+func dialBackoff(attempt int) time.Duration {
+	return min(time.Millisecond<<min(attempt, 5), 20*time.Millisecond)
 }
 
 // SetCallTimeout bounds every subsequent call. Zero (the default)
@@ -94,9 +98,7 @@ func (c *Client) SetCallTimeout(d time.Duration) {
 // attach points the codec at a fresh connection. Caller holds mu (or
 // is the constructor).
 func (c *Client) attach(conn net.Conn) {
-	c.conn = conn
-	c.enc = json.NewEncoder(conn)
-	c.dec = json.NewDecoder(bufio.NewReader(conn))
+	c.conn, c.r, c.fresh = conn, bufio.NewReader(conn), true
 }
 
 // teardown abandons a connection whose request/response pairing can no
@@ -154,12 +156,26 @@ func (c *Client) do(req Request) (Response, error) {
 	}
 	c.nextID++
 	req.ID = c.nextID
-	if err := c.enc.Encode(req); err != nil {
+	b := c.wbuf[:0]
+	if c.fresh {
+		b = append(b, 0, frameVersion)
+	}
+	b, err := appendRequest(b, req)
+	c.wbuf = b
+	if err != nil {
+		return Response{}, fmt.Errorf("mocrpc: encode %s: %w", req.Op, err)
+	}
+	if _, err := c.conn.Write(b); err != nil {
 		c.teardown()
 		return Response{}, classify("send", err)
 	}
+	c.fresh = false
 	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
+	body, err := readFrame(c.r, &c.rbuf, maxResponseFrame)
+	if err == nil {
+		err = decodeResponse(body, &resp)
+	}
+	if err != nil {
 		c.teardown()
 		return Response{}, classify("recv", err)
 	}

@@ -1,19 +1,42 @@
 // Package mocrpc is the client front-end of a mocd daemon: a minimal
-// JSON-lines protocol over TCP through which a client issues
+// request/response protocol over TCP through which a client issues
 // m-operations at the daemon's own process, dumps the recorded
 // execution trace for cross-daemon merging, reads transport counters,
-// and requests shutdown. One request per line, one response per line,
-// matched by ID; requests on one connection are served in order.
+// and requests shutdown. Requests on one connection are served in
+// order, one response each, matched by ID. The protocol deliberately
+// carries object names, not IDs, so a client needs only the cluster's
+// object list — the daemon resolves names against its registry.
 //
-// The protocol deliberately carries object names, not IDs, so a client
-// needs only the cluster's object list — the daemon resolves names
-// against its registry.
+// One listener speaks two framings, told apart by the connection's
+// first byte. JSON lines — one Request per line, one Response per
+// line — serve tools and the frozen v1 corpus. Client speaks binary
+// frames: the preamble {0x00, version} (no JSON-lines client can send
+// a NUL byte; an unknown version closes the connection), then one
+// frame per request and per reply:
+//
+//	frame = uvarint(len) uvarint(id) uvarint(type) body   len counts all after itself
+//
+// An "exec" call and its reply have type 1 and bodies built on
+// internal/wire (ok and bool are 0/1, is_consistent 0 absent, 1 false
+// or 2 true):
+//
+//	request: string kind, uvarint n, n × string obj, int64s vals, string level
+//	reply:   uvarint ok, string err, uvarint shape + value, string level,
+//	         uvarint n, n × varint responder, uvarint is_consistent
+//
+// where shape is 0 none, 1 value (varint), 2 values (int64s) or 3 bool.
+// Every other op (dump, stats, info, ping, shutdown) has type 0: its
+// Request or Response as the JSON the JSON-lines protocol sends, with
+// the frame's id overriding the JSON's. Both framings reach the same
+// handler, so they answer alike. A request frame over 1 MiB is refused
+// before it is read; a reply frame may reach 256 MiB, for long dumps.
 package mocrpc
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 
@@ -34,9 +57,11 @@ import (
 //	v1.0 — initial protocol: exec/dump/stats/info/ping/shutdown
 //	v1.1 — per-request consistency levels: Request.Level,
 //	       Response.Level/IsConsistent/Responders, ping echoes "version"
+//	v1.2 — binary exec frames; JSON-lines unchanged (Client speaks only
+//	       frames, so it needs a v1.2 daemon)
 const (
 	ProtoMajor = 1
-	ProtoMinor = 1
+	ProtoMinor = 2
 )
 
 // ProtoVersion is the "major.minor" string a ping response echoes.
@@ -168,7 +193,16 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	dec := json.NewDecoder(bufio.NewReader(conn))
+	br := bufio.NewReader(conn)
+	first, err := br.Peek(1)
+	if err != nil {
+		return
+	}
+	if first[0] == 0 {
+		s.serveFramed(conn, br)
+		return
+	}
+	dec := json.NewDecoder(br)
 	enc := json.NewEncoder(conn)
 	for {
 		var req Request
@@ -186,6 +220,54 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// serveFramed runs the framed protocol on a connection whose first
+// byte, still buffered in br, is the preamble's NUL. An unknown
+// version closes the connection.
+func (s *Server) serveFramed(conn net.Conn, br *bufio.Reader) {
+	var pre [2]byte
+	if _, err := io.ReadFull(br, pre[:]); err != nil || pre[1] != frameVersion {
+		return
+	}
+	fc := &frameConn{r: br, w: conn}
+	for s.serveFrame(fc) {
+	}
+}
+
+// frameConn is one framed connection's reader, writer and the buffers
+// its requests and replies reuse.
+type frameConn struct {
+	r          *bufio.Reader
+	w          io.Writer
+	rbuf, wbuf []byte
+	req        Request
+}
+
+// serveFrame reads one request frame, handles it and writes the reply
+// in one Write. It reports whether the connection stays open: a read,
+// decode or write error closes it, and so does a shutdown.
+func (s *Server) serveFrame(fc *frameConn) bool {
+	body, err := readFrame(fc.r, &fc.rbuf, maxRequestFrame)
+	if err == nil {
+		err = decodeRequest(body, &fc.req)
+	}
+	if err != nil {
+		return false
+	}
+	resp, shutdown := s.handle(fc.req)
+	exec := fc.req.Op == "exec"
+	if fc.wbuf, err = appendResponse(fc.wbuf[:0], resp, exec); err != nil {
+		// A reply over the frame bound: refuse it instead.
+		fc.wbuf, err = appendResponse(fc.wbuf[:0], fail(resp.ID, err), exec)
+	}
+	if err == nil {
+		_, err = fc.w.Write(fc.wbuf)
+	}
+	if err == nil && shutdown && s.onShutdown != nil {
+		go s.onShutdown()
+	}
+	return err == nil && !shutdown
 }
 
 func fail(id int64, err error) Response {

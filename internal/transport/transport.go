@@ -24,6 +24,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -83,6 +84,9 @@ const (
 	// concatenation is the wire format; the bound keeps a burst from
 	// building an unboundedly large write buffer.
 	maxCoalesce = 256 * 1024
+	// readBufSize is the buffered reader each inbound connection's
+	// readLoop decodes frames through.
+	readBufSize = 64 * 1024
 )
 
 // Node is one process's TCP transport endpoint. It accepts inbound
@@ -360,9 +364,12 @@ func (n *Node) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer n.untrackConn(conn)
 	defer conn.Close()
+	// One buffered reader per connection: a coalesced burst of frames
+	// costs one read syscall, not two per frame.
+	r := bufio.NewReaderSize(conn, readBufSize)
 	var scratch []byte // reused frame body buffer; decoded values copy out
 	for {
-		f, err := readFrame(conn, &scratch)
+		f, err := readFrame(r, &scratch)
 		if err != nil {
 			return
 		}

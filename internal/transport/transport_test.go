@@ -208,3 +208,47 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 		t.Fatalf("Reconnects = %d, want >= 1", st.Reconnects)
 	}
 }
+
+// TestBufferedReadKeepsFrameOrder drives a node's buffered reader from
+// a raw connection: three frames written in one Write, then a fourth
+// split across two writes, must arrive whole and in order.
+func TestBufferedReadKeepsFrameOrder(t *testing.T) {
+	t.Parallel()
+	cluster, err := NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	link, err := cluster.Factory()("buffered", network.Config{Procs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer link.Close()
+
+	fb := &frameBuf{}
+	var ends []int
+	for i := 0; i < 4; i++ {
+		f := wireFrame{Channel: "buffered", From: 1, To: 0, Kind: "seq", Payload: testutil.ConformancePayload{N: i, S: "frame"}, Bytes: 8}
+		if err := encodeFrame(f, fb); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, len(fb.b))
+	}
+	conn, err := net.Dial("tcp", cluster.Node(0).Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	split := ends[2] + (ends[3]-ends[2])/2
+	for _, chunk := range [][]byte{fb.b[:ends[2]], fb.b[ends[2]:split], fb.b[split:]} {
+		if _, err := conn.Write(chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := testutil.Drain(t, 5*time.Second, link.Recv(0), 4, testutil.Source("link", link.Stats))
+	for i, m := range got {
+		if p := m.Payload.(testutil.ConformancePayload); p.N != i || p.S != "frame" {
+			t.Fatalf("message %d = %+v, want frame %d", i, p, i)
+		}
+	}
+}
