@@ -62,12 +62,14 @@ chaos-smoke:
 monitor-smoke:
 	$(GO) test ./internal/chaos/ -race -run TestMonitorSmoke -count=1 -v
 
-# batcher-loop = the Batcher's tests twenty times over under the race
-# detector. Its flush policy is clocked by its own deliveries, so what
-# it does depends on how goroutines interleave; one pass samples one
+# batcher-loop = the Batcher's tests, and the crash-free conformance
+# tests of the three orderers under it, twenty times over under the race
+# detector. The Batcher's flush policy is clocked by its own deliveries,
+# and an orderer's delivery order by its message interleaving, so what
+# they do depends on how goroutines interleave; one pass samples one
 # interleaving, and a load-dependent failure shows only in a loop.
 batcher-loop:
-	$(GO) test -race -count=20 -run 'Batcher' ./internal/abcast/
+	$(GO) test -race -count=20 -run 'Batcher|^Test(Sequencer|Lamport|Token)(Conformance|ConformanceNoDelay|SingleProcess)$$' ./internal/abcast/
 
 # completion-loop = the completion-path race tests twenty times over
 # under the race detector: m-SC and m-lin operations complete on the

@@ -9,8 +9,8 @@
 // Usage:
 //
 //	mocsim -consistency mlin -procs 4 -objects 6 -ops 8 -readfrac 0.5 \
-//	       -maxdelay 2ms -seed 7 [-broadcast lamport] [-relevant] [-json] \
-//	       [-batch 8] [-batchwindow 200us] [-inflight 32] \
+//	       -maxdelay 2ms -seed 7 [-broadcast sequencer|lamport|token] \
+//	       [-relevant] [-json] [-batch 8] [-batchwindow 200us] [-inflight 32] \
 //	       [-drop 0.2] [-dup 0.05] [-partition 50ms] \
 //	       [-crash 1@40ms,2@80ms] [-restart 1@160ms]
 //
@@ -32,13 +32,14 @@
 // The -crash and -restart flags schedule crash-stop process failures:
 // each comma-separated proc@time entry takes the process down (or brings
 // it back up) at the given instant after startup. A crashed endpoint
-// sends and receives nothing; heartbeat failure detection, coordinator
+// sends and receives nothing; heartbeat failure detection, sequencer
 // failover, and checkpointed recovery are enabled automatically so the
 // survivors keep making progress and a restarted process rejoins via
-// state transfer. A process crashed without a matching -restart entry
-// never comes back, so operations issued at it after the crash instant
-// stall — schedule restarts (or keep crashed processes idle) when the
-// workload must complete.
+// state transfer. Only the sequencer fails over, so -crash requires
+// -broadcast sequencer (the default). A process crashed without a
+// matching -restart entry never comes back, so operations issued at it
+// after the crash instant stall — schedule restarts (or keep crashed
+// processes idle) when the workload must complete.
 //
 // Invalid flag values (probabilities outside [0,1), non-positive counts,
 // malformed or inconsistent crash schedules) are rejected with a message
@@ -208,6 +209,9 @@ func simulate(args []string, stdout, stderr io.Writer) error {
 		if *crash != "" {
 			return usageError{"-shards cannot be combined with -crash (per-lane failover is not coordinated)"}
 		}
+	}
+	if *crash != "" && *broadcast != "sequencer" {
+		return usageError{fmt.Sprintf("-crash needs -broadcast sequencer, not %q (only the sequencer fails over)", *broadcast)}
 	}
 	queryLevel, err := history.ParseLevel(*level)
 	if err != nil {

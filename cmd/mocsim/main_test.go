@@ -46,6 +46,8 @@ func TestRunUsageErrors(t *testing.T) {
 		{[]string{"-consistency", "oolock", "-batch", "4"}, "-batch/-batchwindow/-inflight"},
 		{[]string{"-consistency", "causal", "-shards", "2"}, "-shards applies"},
 		{[]string{"-consistency", "msc", "-level", "quorum"}, "-level quorum needs -consistency mlin"},
+		{[]string{"-broadcast", "lamport", "-crash", "1@40ms"}, "-crash needs -broadcast sequencer"},
+		{[]string{"-broadcast", "token", "-crash", "1@40ms"}, "-crash needs -broadcast sequencer"},
 		{[]string{"-nosuchflag"}, "flag provided but not defined"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {

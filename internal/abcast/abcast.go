@@ -4,12 +4,14 @@
 // ... atomic broadcast ensures that all processes apply all update
 // m-operations in the same order."
 //
-// Two from-scratch implementations are provided over the simulated
+// Three from-scratch implementations are provided over the simulated
 // asynchronous network:
 //
 //   - Sequencer: a fixed sequencer assigns consecutive sequence numbers;
 //     receivers deliver in sequence order through a hold-back buffer, so
-//     arbitrary network reordering is tolerated.
+//     arbitrary network reordering is tolerated. With FDConfig it fails
+//     over to a new leader when the current one crashes (failover.go);
+//     it is the only implementation that survives process crashes.
 //
 //   - Lamport: the classical Lamport-clock total-order broadcast. Every
 //     message is timestamped and acknowledged by all processes; a message
@@ -17,7 +19,10 @@
 //     process has been heard from past its timestamp. Requires FIFO
 //     links, which the network provides in FIFO mode.
 //
-// Both satisfy Broadcaster and the shared conformance suite: every
+//   - Token: a token circulates around a ring of the processes, and the
+//     holder stamps its queued broadcasts with the next sequence numbers.
+//
+// All three satisfy Broadcaster and the shared conformance suite: every
 // broadcast is delivered exactly once at every process, in one global
 // total order, gap-free.
 package abcast

@@ -252,7 +252,7 @@ func TestBatcherHammer(t *testing.T) {
 			return NewLamport(LamportConfig{Procs: procs, Seed: 32, MaxDelay: time.Millisecond})
 		}},
 		{"token", func() (Broadcaster, error) {
-			return NewToken(TokenConfig{Procs: procs, Seed: 33, MaxDelay: time.Millisecond, FD: fdForTest()})
+			return NewToken(TokenConfig{Procs: procs, Seed: 33, MaxDelay: time.Millisecond})
 		}},
 	}
 	for _, tc := range orderers {

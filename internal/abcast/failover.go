@@ -1,6 +1,6 @@
-// Crash-stop failure handling shared by the three atomic broadcasts:
-// heartbeat-based failure suspicion, and the timing assumption under
-// which failover preserves the total order.
+// Crash-stop failure handling of the sequencer, the one broadcast that
+// fails over: heartbeat-based failure suspicion, and the timing
+// assumption under which failover preserves the total order.
 //
 // The failure model is crash-stop with restart (network-level: a down
 // endpoint's traffic is dropped, see network.Faults.Crashes). Detection
@@ -20,8 +20,8 @@
 // A member whose own endpoint is down behaves like a halted process: its
 // protocol loop discards everything it receives (only self-sends can
 // reach it anyway) and takes no failover actions, so a crashed process
-// cannot deliver, take over as sequencer, or regenerate a token while
-// the rest of the group routes around it.
+// cannot deliver or take over as sequencer while the rest of the group
+// routes around it.
 package abcast
 
 import (
@@ -29,9 +29,9 @@ import (
 )
 
 // FDConfig enables heartbeat failure detection and crash failover in a
-// broadcaster. Nil disables detection entirely — the protocols then
-// behave exactly as in the crash-free build (no heartbeat traffic, fixed
-// sequencer, static ring, full ack quorum).
+// Sequencer. Nil disables detection entirely — the sequencer then
+// behaves exactly as in the crash-free build (no heartbeat traffic, fixed
+// sequencer).
 type FDConfig struct {
 	// Interval is the heartbeat period. Default 2ms.
 	Interval time.Duration
@@ -97,28 +97,4 @@ func (d *detector) suspectedCount() int {
 		}
 	}
 	return c
-}
-
-// lowestLive returns the lowest-numbered process not currently
-// suspected. The owner itself is always live, so there is always one.
-func (d *detector) lowestLive() int {
-	for q := range d.heard {
-		if !d.suspected(q) {
-			return q
-		}
-	}
-	return d.self
-}
-
-// nextLive returns the first process after p (cyclically) that is not
-// suspected, for ring routing around crashed members.
-func (d *detector) nextLive(p int) int {
-	n := len(d.heard)
-	for i := 1; i <= n; i++ {
-		q := (p + i) % n
-		if !d.suspected(q) {
-			return q
-		}
-	}
-	return p
 }

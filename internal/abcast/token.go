@@ -21,18 +21,8 @@ import (
 // acknowledgements. The cost is token-rotation latency: a broadcast
 // waits on average half a ring rotation before it is ordered.
 //
-// With FD configured the ring tolerates crash-stop failures: the token
-// carries a generation number, holders route it around suspected
-// members, and when the token is lost with a crashed holder the
-// lowest-numbered live member regenerates it exactly once — it fences
-// the old generation, collects every live member's received orders,
-// fills permanently-lost sequence numbers with skip orders (which
-// consume a sequence number but deliver nothing), re-announces the
-// merged history under the new generation, and re-injects the token at
-// the first unassigned sequence number. Deliveries are renumbered by a
-// local counter in this mode so skips stay invisible; the counter is
-// identical at every member because all process the same merged
-// sequence. Safety again rests on the timing assumption in failover.go.
+// The ring assumes processes do not crash (crash tolerance is the
+// sequencer's, failover.go): a crashed holder takes the token with it.
 type Token struct {
 	n       int
 	net     network.Link
@@ -42,68 +32,33 @@ type Token struct {
 	closed  atomic.Bool
 	wg      sync.WaitGroup
 	headerB int
-	fd      *FDConfig
-	regens  atomic.Int64
 }
 
 var _ Broadcaster = (*Token)(nil)
 
 type tokenQueue struct {
-	mu     sync.Mutex
-	msgs   []tokenSubmission
-	nextID int64
+	mu   sync.Mutex
+	msgs []tokenSubmission
 }
 
-// tokenSubmission is one queued broadcast. subID is a per-origin serial
-// so the origin can track the submission across a generation fence: if
-// the order assigned for it is discarded by a regeneration that never
-// merged it, the origin re-queues and re-assigns it (see tokCatchup
-// handling), and delivery dedups on (origin, subID) in case both the
-// original and the re-assignment survive.
+// tokenSubmission is one queued broadcast.
 type tokenSubmission struct {
-	SubID   int64
 	Payload any
 	Bytes   int
 }
 
 // tokenMsg is the circulating token, carrying the next sequence number.
-// Gen is zero until a regeneration bumps it. (Wire payloads carry
-// exported fields so a serializing transport can marshal them.)
+// (Wire payloads carry exported fields so a serializing transport can
+// marshal them.)
 type tokenMsg struct {
-	Gen  int
 	Next int64
 }
 
-// tokenOrder is one assigned broadcast. From is -1 for a skip order: a
-// sequence number lost with a crashed holder, consumed without
-// delivering anything. SubID is the origin's submission serial, used for
-// delivery deduplication across re-assignments.
+// tokenOrder is one assigned broadcast.
 type tokenOrder struct {
-	Gen     int
 	Seq     int64
 	From    int
-	SubID   int64
 	Payload any
-}
-
-// tokHB is a liveness heartbeat (FD mode only).
-type tokHB struct{}
-
-// tokSyncReq fences generation gen-1 and solicits the member's received
-// orders for the regeneration merge.
-type tokSyncReq struct {
-	Gen int
-}
-
-type tokSyncResp struct {
-	Gen    int
-	Orders []tokenOrder
-}
-
-// tokCatchup announces the merged order history of a new generation.
-type tokCatchup struct {
-	Gen    int
-	Orders []tokenOrder
 }
 
 // TokenConfig parameterizes NewToken.
@@ -112,12 +67,8 @@ type TokenConfig struct {
 	Seed               int64
 	MinDelay, MaxDelay time.Duration
 	// Faults optionally injects delivery faults; the reliable layer keeps
-	// the circulating token from being lost to drops (crashes are handled
-	// by regeneration, which requires FD).
+	// the circulating token from being lost to drops.
 	Faults *network.Faults
-	// FD enables heartbeat failure detection, ring routing around
-	// suspects, and token regeneration. Nil keeps the static ring.
-	FD *FDConfig
 	// Links optionally supplies the transport (channel name Channel);
 	// nil uses the simulated network stack.
 	Links network.Factory
@@ -154,21 +105,13 @@ func NewToken(cfg TokenConfig) (*Token, error) {
 		stop:    make(chan struct{}),
 		headerB: 16,
 	}
-	if cfg.FD != nil {
-		fd := cfg.FD.withDefaults()
-		t.fd = &fd
-	}
 	for i := range t.outs {
 		t.outs[i] = make(chan Delivery, 1024)
 		t.pending[i] = &tokenQueue{}
 	}
 	for p := 0; p < cfg.Procs; p++ {
 		t.wg.Add(1)
-		if t.fd == nil {
-			go t.runMember(p)
-		} else {
-			go t.runFDMember(p)
-		}
+		go t.runMember(p)
 	}
 	// Inject the token at process 0 (self-send so the member loop owns
 	// all token handling).
@@ -189,8 +132,7 @@ func (t *Token) Broadcast(from int, payload any, bytes int) error {
 	}
 	q := t.pending[from]
 	q.mu.Lock()
-	q.msgs = append(q.msgs, tokenSubmission{SubID: q.nextID, Payload: payload, Bytes: bytes})
-	q.nextID++
+	q.msgs = append(q.msgs, tokenSubmission{Payload: payload, Bytes: bytes})
 	q.mu.Unlock()
 	return nil
 }
@@ -207,9 +149,6 @@ func (t *Token) MessageCost() (int64, int64) {
 // NetStats implements Broadcaster.
 func (t *Token) NetStats() network.Stats { return t.net.Stats() }
 
-// Regens reports how many token regenerations have completed.
-func (t *Token) Regens() int64 { return t.regens.Load() }
-
 // Close implements Broadcaster.
 func (t *Token) Close() {
 	if t.closed.Swap(true) {
@@ -220,7 +159,7 @@ func (t *Token) Close() {
 	t.wg.Wait()
 }
 
-// runMember is the crash-free member loop (FD nil).
+// runMember is the member loop of process p.
 func (t *Token) runMember(p int) {
 	defer t.wg.Done()
 	buf := newDeliveryBuffer()
@@ -238,7 +177,7 @@ func (t *Token) runMember(p int) {
 				q.msgs = nil
 				q.mu.Unlock()
 				for _, sub := range drained {
-					ord := tokenOrder{Seq: next, From: p, SubID: sub.SubID, Payload: sub.Payload}
+					ord := tokenOrder{Seq: next, From: p, Payload: sub.Payload}
 					next++
 					for dst := 0; dst < t.n; dst++ {
 						if err := t.net.Send(p, dst, "abcast.ord", ord, sub.Bytes+t.headerB); err != nil {
@@ -273,415 +212,4 @@ func (t *Token) runMember(p int) {
 			}
 		}
 	}
-}
-
-// tokSubKey identifies a submission across re-assignments.
-type tokSubKey struct {
-	from  int
-	subID int64
-}
-
-// tokInflight is an own submission with an outstanding assignment, tagged
-// with the generation the assignment was made under.
-type tokInflight struct {
-	Sub tokenSubmission
-	Gen int
-}
-
-// tokMemberState is the per-process state of the FD-mode loop.
-type tokMemberState struct {
-	gen          int
-	received     map[int64]tokenOrder // all orders seen, delivered or not
-	next         int64                // lowest sequence not yet processed
-	delivered    int64                // local renumbered delivery counter
-	lastProgress time.Time
-
-	regenerating bool
-	regenGen     int
-	regenResps   map[int][]tokenOrder
-
-	// dedup marks submissions already delivered, so a re-assigned
-	// submission whose original order also survived a regeneration merge
-	// is delivered exactly once. Every member processes the same merged
-	// sequence, so the dedup decisions are identical everywhere.
-	dedup map[tokSubKey]bool
-	// inflight holds this process's own submissions that were assigned an
-	// order but whose order has not yet been observed in the received
-	// sequence, tagged with the generation they were assigned under. A
-	// regeneration catch-up of a newer generation that omits them proves
-	// the orders were fenced everywhere, so they are re-queued for
-	// assignment. The per-entry generation matters: this process may have
-	// fenced (via tokSyncReq) between assigning and the catch-up, so
-	// comparing against the catch-up's own generation — not whether it
-	// advances st.gen — is what keeps a fenced-away assignment from being
-	// silently dropped while its submitter waits forever.
-	inflight map[int64]tokInflight
-
-	// rejoining is set while this process is crashed and cleared once it
-	// learns the current generation after restarting (or after a grace
-	// period proves no regeneration happened). While set, the process
-	// refuses to act on a received token: a token delivered right after a
-	// restart may be a pre-crash leftover whose generation number looks
-	// current to the stale local state, and holding it would assign and
-	// self-deliver orders every fenced member discards. A refused token
-	// is recovered by the ordinary progress-timeout regeneration.
-	rejoining      bool
-	rejoinDeadline time.Time
-}
-
-// runFDMember is the crash-tolerant member loop (FD configured).
-func (t *Token) runFDMember(p int) {
-	defer t.wg.Done()
-	st := &tokMemberState{
-		received:     make(map[int64]tokenOrder),
-		lastProgress: time.Now(),
-		regenResps:   make(map[int][]tokenOrder),
-		dedup:        make(map[tokSubKey]bool),
-		inflight:     make(map[int64]tokInflight),
-	}
-	det := newDetector(t.n, p, t.fd.Timeout)
-	tick := time.NewTicker(t.fd.Interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-t.stop:
-			return
-		case <-tick.C:
-			if t.net.Down(p) {
-				det.reset()
-				st.lastProgress = time.Now()
-				st.regenerating = false
-				st.rejoining = true
-				st.rejoinDeadline = time.Time{}
-				continue
-			}
-			if st.rejoining {
-				if st.rejoinDeadline.IsZero() {
-					// Just restarted: give the group two detection timeouts
-					// to show a newer generation before concluding that no
-					// regeneration happened while this process was down.
-					st.rejoinDeadline = time.Now().Add(2 * t.fd.Timeout)
-				} else if time.Now().After(st.rejoinDeadline) {
-					st.rejoining = false
-				}
-			}
-			for q := 0; q < t.n; q++ {
-				if q == p {
-					continue
-				}
-				if t.net.Send(p, q, "abcast.hb", tokHB{}, t.headerB) != nil {
-					return
-				}
-			}
-			// Regenerate the token if it has been silent for the timeout
-			// and this is the lowest live member. The generation fence
-			// makes a raced or spurious regeneration harmless: exactly one
-			// generation survives.
-			// The majority guard keeps an isolated or freshly-restarted
-			// process (which suspects everyone) from fencing the live ring.
-			if !st.regenerating && !st.rejoining && time.Since(st.lastProgress) > t.fd.Timeout &&
-				det.lowestLive() == p && det.suspectedCount() <= (t.n-1)/2 {
-				if !t.startRegen(p, st) {
-					return
-				}
-			}
-			if st.regenerating && !t.finishRegenIfReady(p, st, det) {
-				return
-			}
-		case msg := <-t.net.Recv(p):
-			// The reliable layer drops traffic landing inside the down
-			// window unacknowledged (redelivered after restart), so
-			// whatever reaches this loop is processed; see sequencer.go.
-			det.hear(msg.From)
-			if !t.handleFDMsg(p, st, det, msg) {
-				return
-			}
-		}
-	}
-}
-
-// processReceived delivers every contiguous order at the front of the
-// received map, renumbering with the local counter and dropping skips
-// and already-delivered re-assignments.
-func (t *Token) processReceived(p int, st *tokMemberState) bool {
-	for {
-		ord, ok := st.received[st.next]
-		if !ok {
-			return true
-		}
-		st.next++
-		if ord.From < 0 {
-			continue // skip order: sequence number lost with a crashed holder
-		}
-		key := tokSubKey{ord.From, ord.SubID}
-		if st.dedup[key] {
-			continue // re-assigned submission whose original also survived
-		}
-		st.dedup[key] = true
-		d := Delivery{Seq: st.delivered, From: ord.From, Payload: ord.Payload}
-		st.delivered++
-		select {
-		case t.outs[p] <- d:
-		case <-t.stop:
-			return false
-		}
-	}
-}
-
-// noteReceived records ord at its sequence number if the slot is free,
-// and retires the origin's inflight entry when the order is this
-// process's own: once an own order is in the local received sequence it
-// is covered by every future regeneration merge (this process reports
-// its received orders whenever it is live and unsuspected), so it no
-// longer needs re-queueing.
-func (t *Token) noteReceived(p int, st *tokMemberState, ord tokenOrder) {
-	if _, ok := st.received[ord.Seq]; !ok {
-		st.received[ord.Seq] = ord
-	}
-	if ord.From == p {
-		delete(st.inflight, ord.SubID)
-	}
-}
-
-// requeueFenced re-queues every own submission whose assignment was made
-// under a generation older than gen and whose order never made it into
-// the received sequence: the authoritative merged history of gen proves
-// such orders were fenced at every live member, so without a fresh
-// assignment the submitter would wait forever.
-func (t *Token) requeueFenced(p int, st *tokMemberState, gen int) {
-	var lost []tokenSubmission
-	for subID, e := range st.inflight {
-		if e.Gen < gen {
-			lost = append(lost, e.Sub)
-			delete(st.inflight, subID)
-		}
-	}
-	if len(lost) == 0 {
-		return
-	}
-	q := t.pending[p]
-	q.mu.Lock()
-	q.msgs = append(q.msgs, lost...)
-	q.mu.Unlock()
-}
-
-// holdToken runs the holder role once: assign queued submissions, then
-// pass the token to the next live member.
-func (t *Token) holdToken(p int, st *tokMemberState, det *detector, next int64) bool {
-	q := t.pending[p]
-	q.mu.Lock()
-	drained := q.msgs
-	q.msgs = nil
-	q.mu.Unlock()
-	for _, sub := range drained {
-		ord := tokenOrder{Gen: st.gen, Seq: next, From: p, SubID: sub.SubID, Payload: sub.Payload}
-		next++
-		// Track the assignment until its order shows up in the received
-		// sequence: a regeneration racing this fan-out may fence every
-		// copy, and the catch-up handler then re-queues the submission.
-		st.inflight[sub.SubID] = tokInflight{Sub: sub, Gen: st.gen}
-		for dst := 0; dst < t.n; dst++ {
-			if err := t.net.Send(p, dst, "abcast.ord", ord, sub.Bytes+t.headerB); err != nil {
-				return false
-			}
-		}
-	}
-	if len(drained) == 0 {
-		timer := time.NewTimer(200 * time.Microsecond)
-		select {
-		case <-timer.C:
-		case <-t.stop:
-			timer.Stop()
-			return false
-		}
-	}
-	successor := det.nextLive(p)
-	return t.net.Send(p, successor, "abcast.token", tokenMsg{Gen: st.gen, Next: next}, t.headerB) == nil
-}
-
-// startRegen fences a new generation and solicits every member's
-// received orders.
-//
-// The generation is rounded up to the next value congruent to p modulo
-// n, so every regeneration attempt carries a globally unique number.
-// Without this, two coordinators racing from the same generation (a
-// transient disagreement over the lowest live member) would both fence
-// gen+1: each member answers only the first solicitation it sees and
-// silently ignores the second, so with split responses both
-// coordinators wait forever — and the regenerating flag then blocks the
-// lowest live member from ever retrying, stalling the ring for good.
-// (Two same-numbered catch-ups with different merged histories would
-// also diverge the delivery order.) With unique generations the loser
-// is unstuck by the winner's strictly higher fence, which clears its
-// regenerating flag when it arrives.
-func (t *Token) startRegen(p int, st *tokMemberState) bool {
-	st.regenerating = true
-	st.regenGen = st.gen + 1
-	if r := st.regenGen % t.n; r != p {
-		st.regenGen += (p - r + t.n) % t.n
-	}
-	st.gen = st.regenGen
-	st.regenResps = map[int][]tokenOrder{p: nil}
-	for q := 0; q < t.n; q++ {
-		if q == p {
-			continue
-		}
-		if t.net.Send(p, q, "abcast.toksync", tokSyncReq{Gen: st.regenGen}, t.headerB) != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// finishRegenIfReady completes a regeneration once every live member has
-// reported: merge all received orders, fill lost sequence numbers with
-// skips, announce the merged history, and re-inject the token.
-func (t *Token) finishRegenIfReady(p int, st *tokMemberState, det *detector) bool {
-	for q := 0; q < t.n; q++ {
-		if q == p || det.suspected(q) {
-			continue
-		}
-		if _, ok := st.regenResps[q]; !ok {
-			return true // keep waiting
-		}
-	}
-	merged := make(map[int64]tokenOrder, len(st.received))
-	maxSeq := int64(-1)
-	absorb := func(ord tokenOrder) {
-		ord.Gen = st.regenGen
-		if _, ok := merged[ord.Seq]; !ok {
-			merged[ord.Seq] = ord
-		}
-		if ord.Seq > maxSeq {
-			maxSeq = ord.Seq
-		}
-	}
-	for _, ord := range st.received {
-		absorb(ord)
-	}
-	for _, orders := range st.regenResps {
-		for _, ord := range orders {
-			absorb(ord)
-		}
-	}
-	var history []tokenOrder
-	for s := int64(0); s <= maxSeq; s++ {
-		ord, ok := merged[s]
-		if !ok {
-			// Lost with a crashed holder at every live member: consume the
-			// sequence number without delivering.
-			ord = tokenOrder{Gen: st.regenGen, Seq: s, From: -1}
-		}
-		history = append(history, ord)
-		t.noteReceived(p, st, ord)
-	}
-	st.regenerating = false
-	st.regenResps = make(map[int][]tokenOrder)
-	t.regens.Add(1)
-	if !t.processReceived(p, st) {
-		return false
-	}
-	// The coordinator never receives its own catch-up: re-queue its own
-	// fenced-away assignments here, so the holdToken below re-assigns
-	// them under the new generation.
-	t.requeueFenced(p, st, st.regenGen)
-	bytes := t.headerB * (len(history) + 1)
-	for q := 0; q < t.n; q++ {
-		if q == p {
-			continue
-		}
-		if t.net.Send(p, q, "abcast.tokcatch", tokCatchup{Gen: st.regenGen, Orders: history}, bytes) != nil {
-			return false
-		}
-	}
-	st.lastProgress = time.Now()
-	return t.holdToken(p, st, det, maxSeq+1)
-}
-
-// handleFDMsg dispatches one inbox message in FD mode.
-func (t *Token) handleFDMsg(p int, st *tokMemberState, det *detector, msg network.Message) bool {
-	switch m := msg.Payload.(type) {
-	case tokHB:
-		// Liveness only.
-	case tokenMsg:
-		if st.rejoining {
-			// A token received right after a restart may be a pre-crash
-			// leftover whose generation matches this process's equally
-			// stale notion of current. Refuse the holder role: if the
-			// token was live, its loss stalls the ring for one detection
-			// timeout and the ordinary regeneration recovers it.
-			return true
-		}
-		if m.Gen < st.gen {
-			return true // stale token from a fenced generation
-		}
-		st.gen = m.Gen
-		st.lastProgress = time.Now()
-		st.regenerating = false
-		return t.holdToken(p, st, det, m.Next)
-	case tokenOrder:
-		if m.Gen < st.gen {
-			return true
-		}
-		if m.Gen > st.gen {
-			st.gen = m.Gen
-			st.rejoining = false // current generation learned
-		}
-		st.lastProgress = time.Now()
-		t.noteReceived(p, st, m)
-		return t.processReceived(p, st)
-	case tokSyncReq:
-		if m.Gen <= st.gen {
-			return true // stale regeneration attempt
-		}
-		st.gen = m.Gen // fence: discard older-generation tokens and orders
-		st.regenerating = false
-		st.rejoining = false // current generation learned
-		st.lastProgress = time.Now()
-		orders := make([]tokenOrder, 0, len(st.received))
-		for _, ord := range st.received {
-			orders = append(orders, ord)
-		}
-		return t.net.Send(p, msg.From, "abcast.toksyncr",
-			tokSyncResp{Gen: m.Gen, Orders: orders}, t.headerB*(len(orders)+1)) == nil
-	case tokSyncResp:
-		if st.regenerating && m.Gen == st.regenGen {
-			st.regenResps[msg.From] = m.Orders
-			return t.finishRegenIfReady(p, st, det)
-		}
-	case tokCatchup:
-		if m.Gen < st.gen {
-			return true
-		}
-		advanced := m.Gen > st.gen
-		if advanced {
-			st.gen = m.Gen
-			st.rejoining = false // current generation learned
-			// Abandon any regeneration of a now-superseded generation:
-			// its solicitations were ignored and would wait forever.
-			st.regenerating = false
-		}
-		st.lastProgress = time.Now()
-		for _, ord := range m.Orders {
-			t.noteReceived(p, st, ord)
-		}
-		if !t.processReceived(p, st) {
-			return false
-		}
-		// The catch-up is the authoritative record of everything that
-		// survived regenerations up to its generation. Any own assignment
-		// made under an older generation and still untracked in the
-		// received sequence was discarded at every live member (and this
-		// process's own late copy will be fenced here too), so its
-		// submission would otherwise be lost: re-queue it for assignment
-		// at the next token hold. Entries are compared against the
-		// catch-up's generation, not st.gen — this process may have fenced
-		// via tokSyncReq between assigning and this catch-up, making
-		// m.Gen == st.gen while the assignment is fenced all the same.
-		// Delivery dedups on (origin, subID) should a lost-looking order
-		// resurface anyway.
-		t.requeueFenced(p, st, m.Gen)
-		return true
-	}
-	return true
 }

@@ -27,10 +27,6 @@ func init() {
 	// Token ring.
 	wire.Register(wire.TagTokenMsg, tokenMsg{})
 	wire.Register(wire.TagTokenOrder, tokenOrder{})
-	wire.Register(wire.TagTokHB, tokHB{})
-	wire.Register(wire.TagTokSyncReq, tokSyncReq{})
-	wire.Register(wire.TagTokSyncResp, tokSyncResp{})
-	wire.Register(wire.TagTokCatchup, tokCatchup{})
 	// Batching layer.
 	wire.Register(wire.TagBatchMsg, BatchMsg{})
 }
@@ -208,15 +204,13 @@ func (m *lamportData) UnmarshalWire(d *wire.Decoder) error {
 // MarshalWire implements wire.Marshaler.
 func (m lamportAck) MarshalWire(b []byte) ([]byte, error) {
 	b = wire.AppendVarint(b, m.TS)
-	b = wire.AppendVarint(b, int64(m.From))
-	return wire.AppendInt64s(b, m.Heard), nil
+	return wire.AppendVarint(b, int64(m.From)), nil
 }
 
 // UnmarshalWire implements wire.Unmarshaler.
 func (m *lamportAck) UnmarshalWire(d *wire.Decoder) error {
 	m.TS = d.Varint()
 	m.From = d.Int()
-	m.Heard = d.Int64s()
 	return d.Err()
 }
 
@@ -224,101 +218,27 @@ func (m *lamportAck) UnmarshalWire(d *wire.Decoder) error {
 
 // MarshalWire implements wire.Marshaler.
 func (m tokenMsg) MarshalWire(b []byte) ([]byte, error) {
-	b = wire.AppendVarint(b, int64(m.Gen))
 	return wire.AppendVarint(b, m.Next), nil
 }
 
 // UnmarshalWire implements wire.Unmarshaler.
 func (m *tokenMsg) UnmarshalWire(d *wire.Decoder) error {
-	m.Gen = d.Int()
 	m.Next = d.Varint()
 	return d.Err()
 }
 
 // MarshalWire implements wire.Marshaler.
 func (m tokenOrder) MarshalWire(b []byte) ([]byte, error) {
-	b = wire.AppendVarint(b, int64(m.Gen))
 	b = wire.AppendVarint(b, m.Seq)
 	b = wire.AppendVarint(b, int64(m.From))
-	b = wire.AppendVarint(b, m.SubID)
 	return wire.AppendAny(b, m.Payload)
 }
 
 // UnmarshalWire implements wire.Unmarshaler.
 func (m *tokenOrder) UnmarshalWire(d *wire.Decoder) error {
-	m.Gen = d.Int()
 	m.Seq = d.Varint()
 	m.From = d.Int()
-	m.SubID = d.Varint()
 	m.Payload = d.Any()
-	return d.Err()
-}
-
-// MarshalWire implements wire.Marshaler.
-func (m tokHB) MarshalWire(b []byte) ([]byte, error) { return b, nil }
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (m *tokHB) UnmarshalWire(d *wire.Decoder) error { return d.Err() }
-
-// MarshalWire implements wire.Marshaler.
-func (m tokSyncReq) MarshalWire(b []byte) ([]byte, error) {
-	return wire.AppendVarint(b, int64(m.Gen)), nil
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (m *tokSyncReq) UnmarshalWire(d *wire.Decoder) error {
-	m.Gen = d.Int()
-	return d.Err()
-}
-
-func appendTokenOrders(b []byte, orders []tokenOrder) ([]byte, error) {
-	b = wire.AppendUvarint(b, uint64(len(orders)))
-	var err error
-	for i := range orders {
-		if b, err = orders[i].MarshalWire(b); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
-func decodeTokenOrders(d *wire.Decoder) []tokenOrder {
-	n := d.ArrayLen(5) // a tokenOrder is at least 4 varints + a payload tag
-	if d.Err() != nil || n == 0 {
-		return nil
-	}
-	out := make([]tokenOrder, n)
-	for i := range out {
-		if err := out[i].UnmarshalWire(d); err != nil {
-			return nil
-		}
-	}
-	return out
-}
-
-// MarshalWire implements wire.Marshaler.
-func (m tokSyncResp) MarshalWire(b []byte) ([]byte, error) {
-	b = wire.AppendVarint(b, int64(m.Gen))
-	return appendTokenOrders(b, m.Orders)
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (m *tokSyncResp) UnmarshalWire(d *wire.Decoder) error {
-	m.Gen = d.Int()
-	m.Orders = decodeTokenOrders(d)
-	return d.Err()
-}
-
-// MarshalWire implements wire.Marshaler.
-func (m tokCatchup) MarshalWire(b []byte) ([]byte, error) {
-	b = wire.AppendVarint(b, int64(m.Gen))
-	return appendTokenOrders(b, m.Orders)
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (m *tokCatchup) UnmarshalWire(d *wire.Decoder) error {
-	m.Gen = d.Int()
-	m.Orders = decodeTokenOrders(d)
 	return d.Err()
 }
 

@@ -109,8 +109,8 @@ type Config struct {
 	// (m-linearizable stores only).
 	RelevantOnly bool
 	// FD configures heartbeat failure detection and coordinator failover
-	// in the atomic-broadcast layer (sequencer failover, token
-	// regeneration, Lamport ack-quorum exclusion). When nil and the fault
+	// in the atomic-broadcast layer; like a crash schedule in Faults it
+	// requires SequencerBroadcast. When nil and the fault
 	// schedule includes process crashes, a default detector is enabled
 	// automatically so a crashed coordinator cannot stall the store.
 	FD *abcast.FDConfig
@@ -312,10 +312,11 @@ func New(cfg Config) (*Store, error) {
 		return nil, errors.New("core: BatchSize, BatchWindow and MaxInflight must be non-negative")
 	}
 	batching := cfg.BatchSize > 1 || cfg.BatchWindow > 0
+	hasCrashes := cfg.Faults != nil && len(cfg.Faults.Crashes) > 0
+	if (cfg.Recovery || cfg.FD != nil || hasCrashes) && cfg.Broadcast != SequencerBroadcast {
+		return nil, errors.New("core: Recovery, FD and scheduled crash faults require SequencerBroadcast (only the sequencer fails over; Lamport and token assume no crashes)")
+	}
 	if cfg.Recovery {
-		if cfg.Broadcast != SequencerBroadcast && cfg.Broadcast != 0 {
-			return nil, errors.New("core: Recovery requires SequencerBroadcast (rejoin fast-forwards the sequencer delivery sequence)")
-		}
 		if batching {
 			return nil, errors.New("core: Recovery cannot be combined with batching (the checkpoint applied count is in per-update delivery units)")
 		}
@@ -324,7 +325,6 @@ func New(cfg Config) (*Store, error) {
 		}
 	}
 
-	hasCrashes := cfg.Faults != nil && len(cfg.Faults.Crashes) > 0
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("core: invalid shard count %d", cfg.Shards)
 	}
@@ -390,12 +390,12 @@ func New(cfg Config) (*Store, error) {
 		case LamportBroadcast:
 			lane, err = abcast.NewLamport(abcast.LamportConfig{
 				Procs: cfg.Procs, Seed: seed, MinDelay: cfg.MinDelay, MaxDelay: cfg.MaxDelay,
-				Faults: cfg.Faults, FD: cfg.FD, Links: cfg.Links, Channel: channel,
+				Faults: cfg.Faults, Links: cfg.Links, Channel: channel,
 			})
 		case TokenBroadcast:
 			lane, err = abcast.NewToken(abcast.TokenConfig{
 				Procs: cfg.Procs, Seed: seed, MinDelay: cfg.MinDelay, MaxDelay: cfg.MaxDelay,
-				Faults: cfg.Faults, FD: cfg.FD, Links: cfg.Links, Channel: channel,
+				Faults: cfg.Faults, Links: cfg.Links, Channel: channel,
 			})
 		default:
 			return nil, fmt.Errorf("core: unknown broadcast kind %d", int(cfg.Broadcast))

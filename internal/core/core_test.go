@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"moc/internal/abcast"
 	"moc/internal/checker"
+	"moc/internal/network"
 	"moc/internal/object"
 )
 
@@ -43,6 +45,26 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Procs: 1, Objects: []string{"x"}, Broadcast: BroadcastKind(9)}); err == nil {
 		t.Fatal("unknown broadcast accepted")
 	}
+	// Only the sequencer fails over: crash handling on another orderer
+	// must be refused, not run without it.
+	crash := &network.Faults{Crashes: []network.Crash{{Proc: 1, At: time.Second}}}
+	for name, cfg := range map[string]Config{
+		"lamport+FD":     {Broadcast: LamportBroadcast, FD: &abcast.FDConfig{}},
+		"token+crashes":  {Broadcast: TokenBroadcast, Faults: crash},
+		"token+Recovery": {Broadcast: TokenBroadcast, Recovery: true},
+	} {
+		cfg.Procs, cfg.Objects = 3, []string{"x"}
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "SequencerBroadcast") {
+			t.Fatalf("%s: err = %v, want a SequencerBroadcast requirement", name, err)
+		}
+	}
+	// Crash-free fault injection still runs on every orderer.
+	s, err := New(Config{Procs: 3, Objects: []string{"x"}, Broadcast: LamportBroadcast,
+		Faults: &network.Faults{DropProb: 0.1, DupProb: 0.1}})
+	if err != nil {
+		t.Fatalf("lamport with drop/dup faults rejected: %v", err)
+	}
+	s.Close()
 }
 
 func TestBasicReadWrite(t *testing.T) {

@@ -18,8 +18,8 @@ func scaled(d time.Duration) time.Duration { return d * crashTimeScale }
 // crashFaults is the acceptance-criteria adversary: delivery drops, an
 // initial partition isolating process 0, and seed-driven crashes of
 // ⌈n/2⌉−1 = 2 of the 5 processes — first process 0 (the initial
-// sequencer leader and token holder, which also restarts and must
-// recover), then process 2. The crash windows are staggered well past
+// sequencer leader, which also restarts and must recover), then
+// process 2. The crash windows are staggered well past
 // the failure-detection timeout so suspicion can mature between them,
 // and the partition heals before the detector would mistake it for a
 // crash. (Durations quoted in comments are the unscaled, non-race
@@ -99,9 +99,8 @@ func sleepUntil(origin time.Time, at time.Duration) {
 
 // runCrashSchedule drives the phased workload around crashFaults'
 // windows: ops everywhere before the first crash, ops at the survivors
-// during each crash window (forcing failover / token regeneration /
-// quorum exclusion), and ops everywhere — including both restarted
-// processes — at the end.
+// during each crash window (forcing sequencer failover), and ops
+// everywhere — including both restarted processes — at the end.
 func runCrashSchedule(t *testing.T, s *Store, origin time.Time) {
 	t.Helper()
 	crashPhase(t, s, 1, 0, 1, 2, 3, 4) // partition active, everyone up
@@ -115,10 +114,10 @@ func runCrashSchedule(t *testing.T, s *Store, origin time.Time) {
 	crashPhase(t, s, 5, 0, 1, 2, 3, 4) // everyone back
 }
 
-// TestCrashChaos is the tentpole acceptance test: all three atomic
-// broadcasts under both replicated consistency conditions survive
-// drops, a partition, and staggered crash/restart of two of five
-// processes — including the initial sequencer leader and token holder —
+// TestCrashChaos is the crash acceptance test: the sequencer broadcast
+// (the only one that fails over) under both replicated consistency
+// conditions survives drops, a partition, and staggered crash/restart
+// of two of five processes — including the initial sequencer leader —
 // without hanging, and the histories still pass the exact (NP-hard)
 // checkers and the Section 5 proof-obligation monitor across the crash
 // boundary.
@@ -126,68 +125,59 @@ func TestCrashChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash schedule needs its full wall-clock timeline")
 	}
-	for _, bc := range []struct {
-		name string
-		kind BroadcastKind
-	}{
-		{"sequencer", SequencerBroadcast},
-		{"lamport", LamportBroadcast},
-		{"token", TokenBroadcast},
-	} {
-		for _, cons := range []Consistency{MSequential, MLinearizable} {
-			t.Run(bc.name+"/"+cons.String(), func(t *testing.T) {
-				t.Parallel()
-				s := newStore(t, Config{
-					Procs:       5,
-					Consistency: cons,
-					Broadcast:   bc.kind,
-					Seed:        81,
-					MaxDelay:    time.Millisecond,
-					Faults:      crashFaults(),
-					FD:          crashFD(),
-					// Bounded queries: a query must not block on a crashed
-					// responder for longer than the re-solicitation budget.
-					QueryTimeout: scaled(15 * time.Millisecond),
-					QueryRetries: 2,
-				})
-				origin := time.Now()
-				runCrashSchedule(t, s, origin)
-
-				exact, err := s.VerifyExact()
-				if err != nil {
-					t.Fatalf("VerifyExact: %v", err)
-				}
-				if !exact.OK {
-					t.Fatalf("history under crashes fails exact %s checker", cons)
-				}
-				fast, err := s.Verify()
-				if err != nil {
-					t.Fatalf("Verify: %v", err)
-				}
-				if !fast.OK {
-					t.Fatalf("history under crashes fails Theorem 7 %s verification", cons)
-				}
-
-				// The monitor's proof obligations must hold across the
-				// crash boundary: restarted processes resume with records
-				// whose version vectors extend the pre-crash ones.
-				level := monitor.MSCLevel
-				if cons == MLinearizable {
-					level = monitor.MLinLevel
-				}
-				if v := monitor.ValidateAxioms(s.Records(), s.Registry().Len(), level); len(v) != 0 {
-					t.Fatalf("proof obligations violated across crash boundary: %v", v)
-				}
-
-				ns := s.NetStats()
-				if ns.Crashes == 0 || ns.Restarts == 0 {
-					t.Fatalf("crash schedule not exercised: %+v", ns)
-				}
-				if ns.Dropped == 0 || ns.Retransmitted == 0 {
-					t.Errorf("faulty run reported no drops/retransmissions: %+v", ns)
-				}
+	for _, cons := range []Consistency{MSequential, MLinearizable} {
+		t.Run("sequencer/"+cons.String(), func(t *testing.T) {
+			t.Parallel()
+			s := newStore(t, Config{
+				Procs:       5,
+				Consistency: cons,
+				Broadcast:   SequencerBroadcast,
+				Seed:        81,
+				MaxDelay:    time.Millisecond,
+				Faults:      crashFaults(),
+				FD:          crashFD(),
+				// Bounded queries: a query must not block on a crashed
+				// responder for longer than the re-solicitation budget.
+				QueryTimeout: scaled(15 * time.Millisecond),
+				QueryRetries: 2,
 			})
-		}
+			origin := time.Now()
+			runCrashSchedule(t, s, origin)
+
+			exact, err := s.VerifyExact()
+			if err != nil {
+				t.Fatalf("VerifyExact: %v", err)
+			}
+			if !exact.OK {
+				t.Fatalf("history under crashes fails exact %s checker", cons)
+			}
+			fast, err := s.Verify()
+			if err != nil {
+				t.Fatalf("Verify: %v", err)
+			}
+			if !fast.OK {
+				t.Fatalf("history under crashes fails Theorem 7 %s verification", cons)
+			}
+
+			// The monitor's proof obligations must hold across the
+			// crash boundary: restarted processes resume with records
+			// whose version vectors extend the pre-crash ones.
+			level := monitor.MSCLevel
+			if cons == MLinearizable {
+				level = monitor.MLinLevel
+			}
+			if v := monitor.ValidateAxioms(s.Records(), s.Registry().Len(), level); len(v) != 0 {
+				t.Fatalf("proof obligations violated across crash boundary: %v", v)
+			}
+
+			ns := s.NetStats()
+			if ns.Crashes == 0 || ns.Restarts == 0 {
+				t.Fatalf("crash schedule not exercised: %+v", ns)
+			}
+			if ns.Dropped == 0 || ns.Retransmitted == 0 {
+				t.Errorf("faulty run reported no drops/retransmissions: %+v", ns)
+			}
+		})
 	}
 }
 

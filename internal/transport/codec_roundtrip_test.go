@@ -28,8 +28,7 @@ var expectedKinds = []string{
 	// abcast: Lamport clocks.
 	"abcast.lamportSubmit", "abcast.lamportData", "abcast.lamportAck",
 	// abcast: token ring.
-	"abcast.tokenMsg", "abcast.tokenOrder", "abcast.tokHB",
-	"abcast.tokSyncReq", "abcast.tokSyncResp", "abcast.tokCatchup",
+	"abcast.tokenMsg", "abcast.tokenOrder",
 	// abcast: batching layer.
 	"abcast.BatchMsg",
 	// Protocol updates and queries.

@@ -65,29 +65,45 @@ func FuzzReadFrame(f *testing.F) {
 	// an older build sent its m-SC update (ReqID, From, procedure), and
 	// the next free tag in mlin's block. Both must be rejected, never
 	// decoded as some other kind.
+	write, err := wire.AppendAny(nil, mop.WriteOp{X: 1, V: 2})
+	if err != nil {
+		f.Fatalf("seed payload: %v", err)
+	}
 	for _, tag := range []wire.Tag{40, wire.TagMLinApplyAck + 1} {
-		b := []byte{0, 0, 0, 0, codecBinary}
-		b = wire.AppendString(b, "fuzz")
-		b = wire.AppendVarint(b, 0)
-		b = wire.AppendVarint(b, 1)
-		b = wire.AppendString(b, "fuzz.unowned")
-		b = wire.AppendVarint(b, 8)
-		b = wire.AppendUvarint(b, uint64(tag))
-		b = wire.AppendVarint(b, 7) // ReqID
-		b = wire.AppendVarint(b, 0) // From
-		b, err := wire.AppendAny(b, mop.WriteOp{X: 1, V: 2})
-		if err != nil {
-			f.Fatalf("seed tag %d: %v", tag, err)
-		}
-		binary.BigEndian.PutUint32(b, uint32(len(b)-4))
-		var scratch []byte
-		if _, err := readFrame(bytes.NewReader(b), &scratch); !errors.Is(err, ErrBadFrame) {
-			f.Fatalf("frame with unowned tag %d: err = %v, want ErrBadFrame", tag, err)
-		}
+		body := wire.AppendVarint(wire.AppendVarint(nil, 7), 0) // ReqID, From
+		b := unownedFrame(tag, append(body, write...))
+		rejectSeed(f, b, tag)
 		f.Add(b)
 		f.Add(b[:len(b)/2])
 		f.Add(b[:4])
 		f.Add(append(b, b...))
+	}
+	// Tags 28–31 are retired too: the token ring's failure-detector
+	// heartbeat, sync request, sync response and catch-up. Their frames,
+	// bodied as an older build sent them (a response or catch-up carries
+	// a generation and one order {Gen, Seq, From, SubID, payload}), must
+	// be rejected under either codec byte, with the truncations every
+	// registered kind gets.
+	orders := wire.AppendVarint(nil, 1) // Gen
+	orders = wire.AppendUvarint(orders, 1)
+	for _, v := range []int64{1, 5, 2, 9} { // the order's Gen, Seq, From, SubID
+		orders = wire.AppendVarint(orders, v)
+	}
+	orders = append(orders, write...)
+	for _, r := range []struct {
+		tag  wire.Tag
+		body []byte
+	}{{28, nil}, {29, wire.AppendVarint(nil, 1)}, {30, orders}, {31, orders}} {
+		b := unownedFrame(r.tag, r.body)
+		retired := append([]byte(nil), b...)
+		retired[4] = retiredCodecByte
+		for _, s := range [][]byte{b, retired} {
+			rejectSeed(f, s, r.tag)
+			f.Add(s)
+			f.Add(s[:len(s)/2])
+			f.Add(s[:4])
+			f.Add(append(s, s...))
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -116,4 +132,29 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatalf("encode(decode(encode(x))) differs from encode(x):\n %x\n %x", first, second)
 		}
 	})
+}
+
+// unownedFrame frames body as the payload of tag, one no registered
+// kind owns.
+func unownedFrame(tag wire.Tag, body []byte) []byte {
+	b := []byte{0, 0, 0, 0, codecBinary}
+	b = wire.AppendString(b, "fuzz")
+	b = wire.AppendVarint(b, 0)
+	b = wire.AppendVarint(b, 1)
+	b = wire.AppendString(b, "fuzz.unowned")
+	b = wire.AppendVarint(b, 8)
+	b = wire.AppendUvarint(b, uint64(tag))
+	b = append(b, body...)
+	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
+	return b
+}
+
+// rejectSeed fails the fuzz setup unless readFrame refuses frame, a
+// frame carrying the unowned payload tag.
+func rejectSeed(f *testing.F, frame []byte, tag wire.Tag) {
+	f.Helper()
+	var scratch []byte
+	if _, err := readFrame(bytes.NewReader(frame), &scratch); !errors.Is(err, ErrBadFrame) {
+		f.Fatalf("frame with unowned tag %d: err = %v, want ErrBadFrame", tag, err)
+	}
 }

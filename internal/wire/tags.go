@@ -36,11 +36,9 @@ const (
 	TagLamportAck    Tag = 25
 	TagTokenMsg      Tag = 26
 	TagTokenOrder    Tag = 27
-	TagTokHB         Tag = 28
-	TagTokSyncReq    Tag = 29
-	TagTokSyncResp   Tag = 30
-	TagTokCatchup    Tag = 31
-	TagBatchMsg      Tag = 32
+	// 28–31: retired, never reuse (the token ring's failure-detection
+	// heartbeat, regeneration sync request/response and catch-up).
+	TagBatchMsg Tag = 32
 
 	// 40: retired, never reuse (the old msc package's m-SC update; both
 	// conditions now ride TagMLinUpdate).
