@@ -3,7 +3,7 @@
 // corruption, a timed partition), one SIGKILL + checkpoint rejoin, and
 // a paced workload whose merged kill-safe traces are validated by the
 // exact checkers. It is the CLI face of internal/chaos — the same
-// campaign the chaos-smoke test and the E18 experiment run.
+// campaign the chaos-smoke test runs.
 //
 //	mocchaos -seed 23 -n 3 -kill 2 -phasea 2s -phaseb 1.5s -phasec 2s
 package main

@@ -1,7 +1,8 @@
 // Package bench is the experiment harness: one runner per experiment of
-// DESIGN.md's per-experiment index (E1–E10), each regenerating a figure
-// or claim of Mittal & Garg (1998) as a printed table or trace. The
-// runners are shared by cmd/mocbench and the root bench_test.go.
+// DESIGN.md's per-experiment index. E1–E13, A1 and A2 regenerate a
+// figure or claim of Mittal & Garg (1998) as a printed table or trace;
+// E16 and E19 measure the sharding and per-request-level extensions.
+// The runners are shared by cmd/mocbench and the root bench_test.go.
 package bench
 
 import (
@@ -42,12 +43,8 @@ func Experiments() []Experiment {
 		{ID: "E11", Title: "Section 4: OO-constraint locking protocol vs the broadcast protocols", Run: runE11},
 		{ID: "E12", Title: "Consistency hierarchy: m-lin => m-SC => m-causal, protocol by protocol", Run: runE12},
 		{ID: "E13", Title: "Availability under crash-stop failures: bounded queries with 0, 1, f crashed", Run: runE13, JSON: e13JSON},
-		{ID: "E14", Title: "Protocol cost model over real loopback TCP (internal/transport)", Run: runE14, JSON: e14JSON},
-		{ID: "E15", Title: "Batched, pipelined updates: throughput and latency vs batch size", Run: runE15, JSON: e15JSON},
 		{ID: "E16", Title: "Sharded object space: ops/s vs shard count under a fixed per-coordinator egress budget", Run: runE16, JSON: e16JSON},
-		{ID: "E18", Title: "Availability under chaos: socket faults, SIGKILL, and checkpoint rejoin over loopback TCP", Run: runE18, JSON: e18JSON},
 		{ID: "E19", Title: "Per-request consistency levels: query latency at ONE/QUORUM/ALL with one degraded peer", Run: runE19, JSON: e19JSON},
-		{ID: "E20", Title: "Live verification: verified records/s and retained state vs GC window, in-process + streamed TCP", Run: runE20, JSON: e20JSON},
 		{ID: "A1", Title: "Ablation: sequencer vs Lamport atomic broadcast", Run: runAblationBroadcast},
 		{ID: "A2", Title: "Ablation: checker heuristics and memoization", Run: runAblationChecker},
 	}

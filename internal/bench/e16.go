@@ -222,6 +222,24 @@ func runE16Cell(transportKind string, shards int, crossFrac float64, p e16Params
 	}, nil
 }
 
+// percentile returns the q-quantile of ns (nearest-rank on a sorted
+// copy), zero when empty.
+func percentile(ns []int64, q float64) time.Duration {
+	if len(ns) == 0 {
+		return 0
+	}
+	sorted := append([]int64(nil), ns...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	idx := int(q*float64(len(sorted))+0.5) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(sorted) {
+		idx = len(sorted) - 1
+	}
+	return time.Duration(sorted[idx])
+}
+
 // e16BestOf reruns a cell and keeps the highest-throughput run: the
 // modeled egress budget sets a ceiling, so noise only subtracts.
 func e16BestOf(transportKind string, shards int, crossFrac float64, p e16Params) (E16Result, error) {

@@ -126,8 +126,7 @@ func planUpdate(op workload.Op) mop.Procedure {
 	return mop.MAssign{Writes: writes}
 }
 
-// e7Params are the cell dimensions of the E7 (and, minus the simulated
-// delay, E14) cost tables.
+// e7Params are the cell dimensions of the E7 cost table.
 type e7Params struct {
 	delay     time.Duration
 	procsList []int
@@ -162,7 +161,7 @@ func e7Results(quick bool) ([]MixResult, e7Params, error) {
 	return results, p, nil
 }
 
-// mixTable prints cost-model rows in the shared E7/E14 format.
+// mixTable prints the E7 cost-model rows.
 func mixTable(w io.Writer, results []MixResult) {
 	t := newTable(w)
 	t.row("consistency", "procs", "read%", "query mean", "update mean", "ops/s", "query msgs")

@@ -9,8 +9,10 @@ import (
 
 	"moc/internal/abcast"
 	"moc/internal/checker"
+	"moc/internal/mop"
 	"moc/internal/network"
 	"moc/internal/object"
+	"moc/internal/transport"
 )
 
 func newStore(t *testing.T, cfg Config) *Store {
@@ -410,23 +412,47 @@ func TestExecuteAfterClose(t *testing.T) {
 	s.Close() // idempotent
 }
 
+// TestQueryTrafficByConsistency: m-SC queries are local and send
+// nothing; an m-lin ALL-level query is one request and one response per
+// replica, 2·Procs messages, on the simulated network and over loopback
+// TCP alike.
 func TestQueryTrafficByConsistency(t *testing.T) {
-	msc := newStore(t, Config{Procs: 3, Consistency: MSequential, Seed: 12})
-	p, _ := msc.Process(0)
-	if _, err := p.Read(0); err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if msc.QueryTraffic().Messages != 0 {
-		t.Fatal("m-SC queries must be local (no traffic)")
-	}
-
-	lin := newStore(t, Config{Procs: 3, Consistency: MLinearizable, Seed: 13})
-	pl, _ := lin.Process(0)
-	if _, err := pl.Read(0); err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if lin.QueryTraffic().Messages == 0 {
-		t.Fatal("m-lin queries must generate traffic")
+	const procs, reads = 3, 5
+	for _, link := range []struct {
+		name  string
+		links func(t *testing.T) network.Factory
+	}{
+		{"sim", func(*testing.T) network.Factory { return nil }},
+		{"tcp", func(t *testing.T) network.Factory {
+			cl, err := transport.NewCluster(procs)
+			if err != nil {
+				t.Fatalf("NewCluster: %v", err)
+			}
+			t.Cleanup(cl.Close)
+			return cl.Factory()
+		}},
+	} {
+		t.Run(link.name, func(t *testing.T) {
+			for _, tc := range []struct {
+				cons  Consistency
+				level Level
+				want  int64
+			}{
+				{MSequential, One, 0},
+				{MLinearizable, All, 2 * procs * reads},
+			} {
+				s := newStore(t, Config{Procs: procs, Consistency: tc.cons, Seed: 12, Links: link.links(t)})
+				p, _ := s.Process(0)
+				for i := 0; i < reads; i++ {
+					if _, err := p.Exec(mop.ReadOp{X: 0}, ExecOptions{Level: tc.level}); err != nil {
+						t.Fatalf("%v read: %v", tc.cons, err)
+					}
+				}
+				if got := s.QueryTraffic().Messages; got != tc.want {
+					t.Fatalf("%v: %d %v reads sent %d query messages, want %d", tc.cons, reads, tc.level, got, tc.want)
+				}
+			}
+		})
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 
 // Cluster is an in-process loopback TCP cluster: n Nodes, each bound to
 // a 127.0.0.1 port, exchanging real frames through the kernel. It lets
-// a single test or benchmark (experiment E14) run the full serialize →
-// TCP → deserialize path without spawning OS processes.
+// a single test or benchmark run the full serialize → TCP → deserialize
+// path without spawning OS processes.
 type Cluster struct {
 	nodes []*Node
 }

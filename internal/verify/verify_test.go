@@ -450,6 +450,68 @@ func TestStreamWriterDeliversAndReconnects(t *testing.T) {
 
 // TestPipelineWindowGC: the pipeline compacts on its own once the
 // window fills.
+// legalGen produces a legal m-lin record stream in response order: one
+// global timeline, single-object writes whose value equals the version
+// they establish, and every fifth m-operation a two-object ALL-level
+// query reading the current snapshot. Legal by construction, so every
+// violation the pipeline reports on it is a checker bug.
+type legalGen struct {
+	procs, objects int
+	cur            timestamp.TS
+	foot           object.Set
+	t, seq         int64
+	i              int
+}
+
+func newLegalGen(procs, objects int) *legalGen {
+	return &legalGen{
+		procs:   procs,
+		objects: objects,
+		cur:     timestamp.New(objects),
+		foot:    object.FullSet(objects),
+	}
+}
+
+func (g *legalGen) next() mop.Record {
+	i := g.i
+	g.i++
+	inv := g.t
+	g.t += 2
+	rec := mop.Record{
+		Proc:      i % g.procs,
+		Footprint: g.foot,
+		Inv:       inv,
+		Resp:      inv + 1,
+		Level:     history.LevelAll,
+	}
+	if i%5 == 4 {
+		x := object.ID(i % g.objects)
+		y := object.ID((i + 3) % g.objects)
+		rec.Seq = -1
+		rec.Ops = []history.Op{
+			history.R(x, g.cur.Get(x)),
+			history.R(y, g.cur.Get(y)),
+		}
+		rec.TSStart = g.cur.Clone()
+		rec.TSEnd = rec.TSStart
+		rec.IsConsistent = true
+		return rec
+	}
+	x := object.ID(i % g.objects)
+	rec.Update = true
+	rec.Seq = g.seq
+	g.seq++
+	rec.TSStart = g.cur.Clone()
+	g.cur.Set(x, g.cur.Get(x)+1)
+	rec.TSEnd = g.cur.Clone()
+	rec.Ops = []history.Op{history.W(x, g.cur.Get(x))}
+	return rec
+}
+
+// TestPipelineWindowGC: a windowed pipeline compacts and keeps its
+// retained checker state bounded by the window, without flagging a
+// clean run. The multi-object case is the retained-state claim of
+// BENCH_E20.json's window sweep, at its quick size.
 func TestPipelineWindowGC(t *testing.T) {
 	p := NewPipeline(PipelineConfig{NumObjects: 1, Level: monitor.MLinLevel, Window: 64, SlackNs: 1})
 	for i := 0; i < 2000; i++ {
@@ -465,5 +527,32 @@ func TestPipelineWindowGC(t *testing.T) {
 	}
 	if vs := p.Finish(); len(vs) != 0 {
 		t.Fatalf("clean run flagged: %v", vs)
+	}
+
+	// 6 processes, 8 objects, an ALL-level two-object query on every
+	// fifth record: window 0 retains the whole history, window 2048
+	// must stay within twice its window and below the unbounded run.
+	const records, window = 8000, 2048
+	stream := func(window int) Stats {
+		p := NewPipeline(PipelineConfig{NumObjects: 8, Level: monitor.MLinLevel, Window: window})
+		g := newLegalGen(6, 8)
+		for i := 0; i < records; i++ {
+			p.Observe(g.next())
+		}
+		if vs := p.Finish(); len(vs) != 0 {
+			t.Fatalf("window %d: clean stream flagged: %v", window, vs)
+		}
+		return p.Snapshot()
+	}
+	unbounded, windowed := stream(0), stream(window)
+	if unbounded.Compactions != 0 {
+		t.Fatalf("window 0 compacted %d times", unbounded.Compactions)
+	}
+	if windowed.Compactions == 0 {
+		t.Fatalf("window %d never compacted over %d records: %+v", window, records, windowed)
+	}
+	if hw := windowed.Checker.HighWater; hw > 2*window || hw >= unbounded.Checker.HighWater {
+		t.Fatalf("window %d retained %d nodes; want <= %d and below the unbounded run's %d",
+			window, hw, 2*window, unbounded.Checker.HighWater)
 	}
 }
