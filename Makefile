@@ -36,14 +36,17 @@ codec-gate:
 	$(GO) test ./internal/core/ -run TestExecAllocationCeiling -count=1
 	$(GO) test ./internal/shard/ -run FuzzRouting -count=1
 
-# shard-smoke = the sharding acceptance pair, race-instrumented: the
+# shard-smoke = the sharding acceptance checks, race-instrumented: the
 # randomized cross-shard interleaving test in short mode (seeded
 # adversarial schedules over the ticket/commit merge, every history
-# through the unchanged exact checker) plus the sharded chaos cell (one
-# lane coordinator SIGKILLed mid-campaign; the surviving shard must keep
-# serving and the merged traces must verify).
+# through the unchanged exact checker), the store-buffering litmus
+# cells (SB, SB with multi-reads, IRIW and a pipelined SB on two
+# shards, m-SC and m-lin, 60 seeds each through the exact checker),
+# plus the sharded chaos cell (one lane coordinator SIGKILLed
+# mid-campaign; the surviving shard must keep serving and the merged
+# traces must verify).
 shard-smoke:
-	$(GO) test ./internal/core/ -race -short -run TestShardInterleaving -count=1 -v
+	$(GO) test ./internal/core/ -race -short -run 'TestShardInterleaving|TestShardStoreBuffering' -count=1 -v
 	$(GO) test ./internal/chaos/ -race -run TestChaosShardedLaneKill -count=1 -v
 
 # chaos-smoke = the seeded chaos acceptance run: race-instrumented mocd

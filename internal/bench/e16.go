@@ -99,11 +99,12 @@ func e16Sizes(quick bool) e16Params {
 // and the cell would measure CPU, not ordering capacity. With
 // crossFrac > 0, workers whose home shard has an upward neighbor
 // additionally issue that fraction of two-shard MAssigns spanning
-// (home, home+1). Crossing upward keeps the session anchor — which
-// compresses to the lowest involved shard — at the home lane, so the
-// measured fraction stays the configured one; crossing downward would
-// pin the anchor below home and promote every later single-shard update
-// of that process into the merge path.
+// (home, home+1). The span is upward because the recorded cells used
+// it: a session anchor once compressed to the lowest involved shard,
+// and a downward span then promoted every later single-shard update.
+// Anchors now keep the cross operation's whole lane set, so either
+// direction leaves the configured fraction as it is; keeping the upward
+// span keeps BENCH_E16.json comparable.
 func runE16Cell(transportKind string, shards int, crossFrac float64, p e16Params, seed int64) (E16Result, error) {
 	names := make([]string, p.objects)
 	for i := range names {
@@ -268,9 +269,9 @@ type E16Verified struct {
 }
 
 // runE16Verified replays a mixed sharded workload (queries, multi-object
-// updates, downward cross-shard spans — the session-anchor promotion
-// path included) with recording on, then requires acceptance twice
-// over: by the exact admissibility checker behind Store.Verify, and by
+// updates, downward cross-shard spans, m-SC reads ordered through the
+// group) with recording on, then requires acceptance twice over: by
+// the exact admissibility checker behind Store.Verify, and by
 // the incremental online checker behind mocmon (verify.Pipeline with
 // the records fed in response order, exactly like moccheck -stream).
 func runE16Verified(quick bool) (E16Verified, error) {

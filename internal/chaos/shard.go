@@ -90,10 +90,11 @@ func safeObjects(cfg ShardCampaignConfig) []string {
 }
 
 // anchorFix issues one paused-worker update on the safe object pool,
-// compressing the worker's server-side session anchor onto a surviving
-// shard before the kill: a later update whose anchor still named the
-// victim lane would be promoted to a cross-shard operation and block
-// forever on the dead coordinator — the documented liveness cost of
+// moving the worker's server-side session anchor onto surviving shards
+// before the kill (the daemons run one issuing lane, so the session is
+// the process): a later update whose anchor still named the victim
+// lane could be promoted onto it and block forever on the dead
+// coordinator — the documented liveness cost of
 // session anchoring, which this campaign steps around rather than
 // measures. Retries transient connect failures; all lanes are still
 // alive here, so the update itself always completes.

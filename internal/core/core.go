@@ -706,6 +706,16 @@ func (s *Store) BatchStats() (flushes, batches, batched int64) {
 	return 0, 0, 0
 }
 
+// ShardStats reports the sharded broadcast group's routing counters:
+// single-lane and merged broadcasts, and m-SC reads answered locally or
+// ordered through the group. All zero when the store is unsharded.
+func (s *Store) ShardStats() shard.Stats {
+	if g, ok := s.bcast.(*shard.Group); ok {
+		return g.Stats()
+	}
+	return shard.Stats{}
+}
+
 // QueryTraffic returns the m-linearizable query network's counters
 // (zero-valued for m-sequential stores, whose queries are local).
 func (s *Store) QueryTraffic() network.Stats { return s.replica.QueryTraffic() }
@@ -763,7 +773,7 @@ func (p *Process) ExecAsync(pr mop.Procedure, opts ExecOptions) (*Future, error)
 	f := &Future{done: make(chan struct{})}
 	// The completion runs wherever the replica generates the response:
 	// on one of its loops or timers or, for a local read, this caller.
-	err := s.replica.Submit(p.id, pr, opts, func(rec mop.Record, err error) {
+	err := s.replica.Submit(p.id, lane, pr, opts, func(rec mop.Record, err error) {
 		if err != nil {
 			s.inFlight.Add(-1)
 			f.err = err

@@ -93,6 +93,9 @@
 // copy: no query network, no write phase (an update responds at the
 // issuer's apply), QUORUM and ALL rejected. Nothing raises a session
 // floor, so local reads take only their footprint's object read locks.
+// Over a sharded group, a query that is not one point in its session's
+// lane schedule is broadcast like an update instead and answered at
+// the issuer's apply (see localReader; DESIGN.md §11).
 package mlin
 
 import (
@@ -164,13 +167,18 @@ type Config struct {
 
 // Protocol is a running instance of the Figure 6 protocol.
 type Protocol struct {
-	cfg    Config
-	qnet   network.Link // nil when Sequential
-	states []*procState
-	stop   chan struct{}
-	closed atomic.Bool
-	wg     sync.WaitGroup
-	nextID atomic.Int64
+	cfg  Config
+	qnet network.Link // nil when Sequential
+	// The broadcaster's optional session hooks, resolved once by New:
+	// toucher on an m-lin store, reader on an m-SC one (both nil
+	// unless the broadcaster is a sharded group).
+	toucher queryToucher
+	reader  localReader
+	states  []*procState
+	stop    chan struct{}
+	closed  atomic.Bool
+	wg      sync.WaitGroup
+	nextID  atomic.Int64
 }
 
 // procState is one process's replica. Writers hold mu and write-lock the
@@ -318,18 +326,32 @@ type updatePayload struct {
 	ReqID int64
 	From  int
 	Proc  mop.Procedure
+	// lane is the issuing lane of the operation's session. Only the
+	// issuer's broadcaster reads it, so it stays off the wire.
+	lane int
 }
 
-// RoutingFootprint lets a sharded broadcast group (internal/shard)
-// route the update to the lanes its footprint touches.
+// RoutingFootprint and RoutingLane let a sharded broadcast group
+// (internal/shard) route the update by its footprint and session.
 func (m updatePayload) RoutingFootprint() []object.ID { return m.Proc.Footprint().IDs() }
+func (m updatePayload) RoutingLane() int              { return m.lane }
 
-// queryToucher is implemented by sharded broadcast groups: queries have
-// no broadcast of their own, but a query that observes a shard's state
-// still orders the session after that shard's applied prefix, so the
-// group must anchor the process's next update behind it.
+// queryToucher is implemented by sharded broadcast groups, for m-lin
+// stores: queries have no broadcast of their own, but a query that
+// observes a shard's state still orders the session after that shard's
+// applied prefix, so the group must anchor the session's next update
+// behind it.
 type queryToucher interface {
-	TouchQuery(proc int, fp []object.ID)
+	TouchQuery(proc, lane int, fp []object.ID)
+}
+
+// localReader is implemented by sharded broadcast groups, for m-SC
+// stores: it admits a query to the local copy only where the read is
+// one point in a lane schedule after the session's previous operation
+// (see shard.Group). A query it refuses is broadcast as a read-only
+// m-operation and answered at the issuer's apply.
+type localReader interface {
+	ReadLocal(proc, lane int, fp []object.ID) bool
 }
 
 // pendingUpdate tracks one in-flight update from issuance (A1) through
@@ -339,9 +361,10 @@ type queryToucher interface {
 // applied the update. The update responds only once a majority has
 // (the SC-ABD write rule); see the package comment.
 type pendingUpdate struct {
-	done func(mop.Record, error)
-	inv  int64
-	wp   *writePhase // nil when Sequential: no write phase
+	done  func(mop.Record, error)
+	inv   int64
+	level history.Level // LevelAll, or an ordered read's requested level
+	wp    *writePhase   // nil when Sequential: no write phase
 }
 
 type writePhase struct {
@@ -418,7 +441,10 @@ func New(cfg Config) (*Protocol, error) {
 		states: make([]*procState, cfg.Procs),
 		stop:   make(chan struct{}),
 	}
-	if !cfg.Sequential {
+	if cfg.Sequential {
+		p.reader, _ = cfg.Broadcast.(localReader)
+	} else {
+		p.toucher, _ = cfg.Broadcast.(queryToucher)
 		var err error
 		p.qnet, err = cfg.Links.Build("mlin.query", network.Config{
 			Procs:    cfg.Procs,
@@ -481,7 +507,7 @@ func (p *Protocol) need(level history.Level) int {
 func (p *Protocol) Exec(proc int, pr mop.Procedure, opts mop.ExecOptions) (mop.Record, error) {
 	var rec mop.Record
 	ch := make(chan error, 1)
-	if err := p.Submit(proc, pr, opts, func(r mop.Record, err error) { rec = r; ch <- err }); err != nil {
+	if err := p.Submit(proc, 0, pr, opts, func(r mop.Record, err error) { rec = r; ch <- err }); err != nil {
 		return mop.Record{}, err
 	}
 	err := <-ch
@@ -489,35 +515,45 @@ func (p *Protocol) Exec(proc int, pr mop.Procedure, opts mop.ExecOptions) (mop.R
 	return rec, err
 }
 
-// Submit issues m-operation pr without waiting for its completion; done
+// Submit issues m-operation pr of the session on issuing lane lane of
+// process proc without waiting for its completion; done
 // gets the record (Inv stamped, Resp left to the caller) or an error
 // exactly once, never under a protocol lock, on the goroutine that
 // completes it: a local read on the caller, a strong query on the loop
-// or timer that settles its read barrier, an update (A1) on the loop
-// that sees a majority of replicas acknowledge applying it (the write
-// quorum — see the package comment). Close fails what is pending with
+// or timer that settles its read barrier, an update (A1) or an ordered
+// m-SC read on the loop that sees a majority of replicas acknowledge
+// applying it (the write quorum — see the package comment; for m-SC the
+// issuer's own apply). Close fails what is pending with
 // ErrClosed; the delete from a pending map under the state mutex picks
 // the one completer. done must not block for long or call Close. An
 // error return means nothing was issued and done will not be called.
-func (p *Protocol) Submit(proc int, pr mop.Procedure, opts mop.ExecOptions, done func(mop.Record, error)) error {
-	if proc < 0 || proc >= p.cfg.Procs {
-		return fmt.Errorf("mlin: invalid process %d", proc)
+func (p *Protocol) Submit(proc, lane int, pr mop.Procedure, opts mop.ExecOptions, done func(mop.Record, error)) error {
+	if proc < 0 || proc >= p.cfg.Procs || lane < 0 {
+		return fmt.Errorf("mlin: invalid process %d lane %d", proc, lane)
 	}
+	level := history.LevelAll
 	if !pr.MayWrite() {
+		level = opts.Level
 		switch {
-		case opts.Level == history.LevelOne || (p.cfg.Sequential && opts.Level == history.LevelDefault):
-			done(p.executeLocalQuery(proc, pr, opts.Level))
-			return nil
+		case level == history.LevelOne || (p.cfg.Sequential && level == history.LevelDefault):
+			fp := pr.Footprint()
+			ids := p.states[proc].footprintIDs(fp)
+			if p.reader == nil || p.reader.ReadLocal(proc, lane, ids) {
+				done(p.executeLocalQuery(proc, lane, pr, fp, ids, level))
+				return nil
+			}
+			// Broadcast below as an ordered read (see localReader).
 		case p.cfg.Sequential:
-			return fmt.Errorf("mlin: consistency level %q requires an m-lin store", opts.Level)
-		case opts.Level == history.LevelDefault || opts.Level == history.LevelQuorum || opts.Level == history.LevelAll:
-			return p.executeQuery(proc, pr, opts.Level, done)
+			return fmt.Errorf("mlin: consistency level %q requires an m-lin store", level)
+		case level == history.LevelDefault || level == history.LevelQuorum || level == history.LevelAll:
+			return p.executeQuery(proc, lane, pr, level, done)
+		default:
+			return fmt.Errorf("mlin: invalid consistency level %d", int(level))
 		}
-		return fmt.Errorf("mlin: invalid consistency level %d", int(opts.Level))
 	}
 	st := p.states[proc]
 	reqID := p.nextID.Add(1)
-	pu := &pendingUpdate{done: done, inv: p.cfg.Clock()}
+	pu := &pendingUpdate{done: done, inv: p.cfg.Clock(), level: level}
 	if !p.cfg.Sequential {
 		pu.wp = &writePhase{ackFrom: make([]bool, p.cfg.Procs)}
 	}
@@ -530,7 +566,7 @@ func (p *Protocol) Submit(proc int, pr mop.Procedure, opts mop.ExecOptions, done
 	st.pendUpd[reqID] = pu
 	st.mu.Unlock()
 
-	if err := p.cfg.Broadcast.Broadcast(proc, updatePayload{ReqID: reqID, From: proc, Proc: pr}, mop.PayloadBytes(pr)); err != nil {
+	if err := p.cfg.Broadcast.Broadcast(proc, updatePayload{ReqID: reqID, From: proc, Proc: pr, lane: lane}, mop.PayloadBytes(pr)); err != nil {
 		// The update may have been ordered anyway, or swept by Close.
 		st.mu.Lock()
 		_, mine := st.pendUpd[reqID]
@@ -546,13 +582,11 @@ func (p *Protocol) Submit(proc int, pr mop.Procedure, opts mop.ExecOptions, done
 // executeLocalQuery is the Figure 4 query rule: read the local copy under
 // its footprint's read locks. An m-lin replica reads under st.mu, after
 // waiting out the session floor (see the package comment).
-func (p *Protocol) executeLocalQuery(proc int, pr mop.Procedure, level history.Level) (mop.Record, error) {
+func (p *Protocol) executeLocalQuery(proc, lane int, pr mop.Procedure, fp object.Set, ids []object.ID, level history.Level) (mop.Record, error) {
 	st := p.states[proc]
 	inv := p.cfg.Clock()
-	fp := pr.Footprint()
-	ids := st.footprintIDs(fp)
-	if toucher, ok := p.cfg.Broadcast.(queryToucher); ok {
-		toucher.TouchQuery(proc, ids)
+	if p.toucher != nil {
+		p.toucher.TouchQuery(proc, lane, ids)
 	}
 	if !p.cfg.Sequential {
 		st.mu.Lock()
@@ -565,6 +599,14 @@ func (p *Protocol) executeLocalQuery(proc int, pr mop.Procedure, level history.L
 	if p.closed.Load() {
 		return mop.Record{}, ErrClosed
 	}
+	rec, err := st.read(pr, fp, ids, proc)
+	rec.Inv, rec.Level = inv, level
+	return rec, err
+}
+
+// read runs query pr on the local copy under its footprint's read
+// locks and returns its record, Inv and Level left to the caller.
+func (st *procState) read(pr mop.Procedure, fp object.Set, ids []object.ID, proc int) (mop.Record, error) {
 	for _, x := range ids {
 		st.locks[x].RLock()
 	}
@@ -588,9 +630,7 @@ func (p *Protocol) executeLocalQuery(proc int, pr mop.Procedure, level history.L
 		TSStart:      tsStart,
 		TSEnd:        tsStart.Clone(),
 		Footprint:    fp,
-		Inv:          inv,
 		Result:       result,
-		Level:        level,
 		Responders:   []int{proc},
 		IsConsistent: true,
 	}, nil
@@ -601,10 +641,10 @@ func (p *Protocol) executeLocalQuery(proc int, pr mop.Procedure, level history.L
 // The query completes once the level's responder count has answered
 // (all processes for ALL/default, a majority for QUORUM), the session
 // floor is covered and the read barrier settles (see advance).
-func (p *Protocol) executeQuery(proc int, pr mop.Procedure, level history.Level, done func(mop.Record, error)) error {
+func (p *Protocol) executeQuery(proc, lane int, pr mop.Procedure, level history.Level, done func(mop.Record, error)) error {
 	st := p.states[proc]
-	if toucher, ok := p.cfg.Broadcast.(queryToucher); ok {
-		toucher.TouchQuery(proc, pr.Footprint().IDs())
+	if p.toucher != nil {
+		p.toucher.TouchQuery(proc, lane, pr.Footprint().IDs())
 	}
 	reqID := p.nextID.Add(1)
 	need := p.need(level)
@@ -973,7 +1013,16 @@ func (p *Protocol) deliveryLoop(proc int) {
 				}
 				continue
 			}
-			rec, err := st.applyLocked(payload.Proc, payload.From, d.Seq, pu != nil)
+			var rec mop.Record
+			var err error
+			if payload.Proc.MayWrite() {
+				rec, err = st.applyLocked(payload.Proc, payload.From, d.Seq, pu != nil)
+			} else if pu != nil {
+				// An ordered m-SC read: answered here, at its issuer's
+				// apply, so it reads a cut of every lane it rides.
+				fp := payload.Proc.Footprint()
+				rec, err = st.read(payload.Proc, fp, st.footprintIDs(fp), proc)
+			}
 			if d.Shards == nil {
 				st.applied[0] = d.Seq + 1
 			} else {
@@ -1042,7 +1091,7 @@ func (p *Protocol) sendAck(proc int, payload updatePayload) {
 // charges against.
 func (p *Protocol) finishUpdate(pu *pendingUpdate, rec mop.Record, err error) {
 	rec.Inv = pu.inv
-	rec.Level = history.LevelAll
+	rec.Level = pu.level
 	rec.IsConsistent = true
 	pu.done(rec, err)
 }

@@ -354,7 +354,7 @@ func testSubmitCompletesOnce(t *testing.T, sequential bool) {
 					if j%2 == 1 {
 						op, opts.Level = mop.ReadOp{X: object.ID(j % 2)}, levels[j/2%len(levels)]
 					}
-					err := p.Submit(proc, op, opts, func(rec mop.Record, err error) {
+					err := p.Submit(proc, 0, op, opts, func(rec mop.Record, err error) {
 						// One report is enough; later calls skip the wait.
 						if !underMu.Load() && !notHeld(st) {
 							underMu.Store(true)

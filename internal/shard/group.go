@@ -11,11 +11,14 @@ import (
 )
 
 // Router is what the group needs from a broadcast payload in order to
-// route it: the footprint of the m-operation it carries. The replica's
-// update payload (internal/mlin, under m-SC and m-lin alike) implements
-// it. Payloads without a footprint route to shard 0.
+// route it: the footprint of the m-operation it carries and the issuing
+// lane of its session. The replica's update payload (internal/mlin,
+// under m-SC and m-lin alike) implements it. Payloads without a
+// footprint route to shard 0; payloads that are not Routers ride
+// session (from, lane 0).
 type Router interface {
 	RoutingFootprint() []object.ID
+	RoutingLane() int
 }
 
 // GroupConfig parameterizes NewGroup.
@@ -57,13 +60,27 @@ type GroupConfig struct {
 //     would park each lane at a different op and neither commit that
 //     resolves the ranks would ever be drained).
 //
-//   - Process order across lanes is preserved by session anchoring:
-//     each process's next update is promoted to include the shard of
-//     its previous operation (and the shards its queries observed), so
-//     consecutive operations of one process always share a lane slot
-//     chain. Without this, two single-shard updates by one process on
-//     different shards could apply in opposite orders at another
-//     replica — an m-SC violation.
+//   - Process order across lanes is preserved by session anchoring. A
+//     session is one issuing lane of a process, recorded as process
+//     from + lane·Procs. Its anchor is the lane set of its previous
+//     operation, which has completed, so it already holds a slot in
+//     every one of those lanes' schedules. The next operation rides its
+//     footprint's lanes (plus the shards TouchQuery recorded) and is
+//     promoted to the anchor's lowest lane only when it shares none of
+//     them, so consecutive operations of a session always share a lane
+//     whose FIFO carries their order. Without this, two single-shard
+//     updates of one session on different shards could apply in
+//     opposite orders at another replica — an m-SC violation. Keyed by
+//     the process instead, the previous operation may be another
+//     session's cross operation still in flight, which a single-shard
+//     emit can overtake while its ticket is pending.
+//
+//   - ReadLocal admits an m-SC query to the issuer's local copy only if
+//     it reads one shard and that shard is a lane of its session's
+//     anchor: the read is then one point in that lane's schedule,
+//     after the session's previous operation. Any other m-SC query is
+//     broadcast through the group like an update, so store buffering
+//     and IRIW shapes cannot observe two lanes at incomparable prefixes.
 //
 // Emitted Seq numbers are composite: apply-clock × shardCount + lowest
 // involved shard. They are globally unique and strictly increasing
@@ -77,7 +94,8 @@ type Group struct {
 	reps  []*replica
 
 	anchMu  sync.Mutex
-	anchors [][]int // per process: shards its next update must follow
+	anchors map[int]anchor // per session: from + lane·procs
+	stats   Stats          // under anchMu
 
 	idMu   sync.Mutex
 	nextID int64
@@ -85,6 +103,22 @@ type Group struct {
 	stop      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
+}
+
+// anchor is one session's routing state.
+type anchor struct {
+	lanes   []int // lane set of the session's previous operation; nil before its first
+	touched []int // shards the session's m-lin queries observed since (TouchQuery)
+}
+
+// Stats counts the group's routing decisions. An ordered read is also
+// counted by the broadcast that carries it.
+type Stats struct {
+	// Single and Merged count broadcasts that rode one lane and those
+	// that ran the ticket/commit merge.
+	Single, Merged int64
+	// LocalReads and OrderedReads count ReadLocal's verdicts.
+	LocalReads, OrderedReads int64
 }
 
 // Ticket is phase one of the cross-shard merge: it carries the
@@ -164,7 +198,7 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 		lanes:   cfg.Lanes,
 		outs:    make([]chan abcast.Delivery, cfg.Procs),
 		reps:    make([]*replica, cfg.Procs),
-		anchors: make([][]int, cfg.Procs),
+		anchors: make(map[int]anchor),
 		stop:    make(chan struct{}),
 	}
 	for p := 0; p < cfg.Procs; p++ {
@@ -186,25 +220,35 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 	return g, nil
 }
 
-// Broadcast routes by the payload's footprint: the involved shard set
-// is the footprint's shards unioned with the process's session anchor;
-// one shard rides its lane directly, several run the ticket/commit
-// merge. The anchor then compresses to the lowest involved shard —
-// following this operation in any one of its lanes orders after it, and
-// transitively after everything it was anchored on.
+// Broadcast routes by the payload's footprint and session (see Group):
+// the involved shard set is the footprint's shards and the session's
+// touched shards, plus the anchor's lowest lane if the two are
+// disjoint; one shard rides its lane directly, several run the
+// ticket/commit merge. The set becomes the session's anchor.
 func (g *Group) Broadcast(from int, payload any, bytes int) error {
-	if from < 0 || from >= g.procs {
-		return fmt.Errorf("shard: process %d out of range", from)
-	}
 	var fp []object.ID
+	lane := 0
 	if rt, ok := payload.(Router); ok {
-		fp = rt.RoutingFootprint()
+		fp, lane = rt.RoutingFootprint(), rt.RoutingLane()
+	}
+	key, ok := g.session(from, lane)
+	if !ok {
+		return fmt.Errorf("shard: process %d lane %d out of range", from, lane)
 	}
 	shards := g.m.ShardsOf(fp)
 
 	g.anchMu.Lock()
-	involved := unionSorted(shards, g.anchors[from])
-	g.anchors[from] = involved[:1:1]
+	a := g.anchors[key]
+	involved := unionSorted(shards, a.touched)
+	if a.lanes != nil && disjoint(involved, a.lanes) {
+		involved = unionSorted(involved, a.lanes[:1])
+	}
+	g.anchors[key] = anchor{lanes: involved}
+	if len(involved) == 1 {
+		g.stats.Single++
+	} else {
+		g.stats.Merged++
+	}
 	g.anchMu.Unlock()
 
 	if len(involved) == 1 {
@@ -224,19 +268,60 @@ func (g *Group) Broadcast(from int, payload any, bytes int) error {
 	return nil
 }
 
-// TouchQuery records that a query by proc observed the given footprint:
-// the process's next update must be ordered after the observed per-shard
-// prefixes, so those shards join its anchor. Queries have no schedule
-// slot of their own, so the anchor accumulates until the next update
-// compresses it.
-func (g *Group) TouchQuery(proc int, fp []object.ID) {
-	if proc < 0 || proc >= g.procs {
+// TouchQuery records that an m-lin query of session (proc, lane)
+// observed the given footprint: the session's next operation must be
+// ordered after the observed per-shard prefixes, so those shards join
+// its involved set. m-SC queries use ReadLocal instead.
+func (g *Group) TouchQuery(proc, lane int, fp []object.ID) {
+	key, ok := g.session(proc, lane)
+	if !ok {
 		return
 	}
 	shards := g.m.ShardsOf(fp)
 	g.anchMu.Lock()
-	g.anchors[proc] = unionSorted(shards, g.anchors[proc])
+	a := g.anchors[key]
+	a.touched = unionSorted(shards, a.touched)
+	g.anchors[key] = a
 	g.anchMu.Unlock()
+}
+
+// ReadLocal reports whether an m-SC query of session (proc, lane) over
+// fp may read the issuer's local copy: only if fp lies in one shard
+// that is a lane of the session's anchor, or the session has no
+// anchor yet. The anchor then becomes that lane. Otherwise the caller
+// must broadcast the query through the group as a read-only
+// m-operation and answer it at its local apply.
+func (g *Group) ReadLocal(proc, lane int, fp []object.ID) bool {
+	key, ok := g.session(proc, lane)
+	if !ok {
+		return false
+	}
+	shards := g.m.ShardsOf(fp)
+	g.anchMu.Lock()
+	defer g.anchMu.Unlock()
+	a := g.anchors[key]
+	if len(shards) != 1 || (a.lanes != nil && disjoint(shards, a.lanes)) {
+		g.stats.OrderedReads++
+		return false
+	}
+	a.lanes = shards
+	g.anchors[key] = a
+	g.stats.LocalReads++
+	return true
+}
+
+// session returns the anchor key of issuing lane lane of process proc
+// — its recorded process id proc + lane·Procs — and whether the pair
+// is in range.
+func (g *Group) session(proc, lane int) (int, bool) {
+	return proc + lane*g.procs, proc >= 0 && proc < g.procs && lane >= 0
+}
+
+// Stats returns the routing counters.
+func (g *Group) Stats() Stats {
+	g.anchMu.Lock()
+	defer g.anchMu.Unlock()
+	return g.stats
 }
 
 // Deliveries returns process p's composed delivery stream.
@@ -520,6 +605,21 @@ func removeOp(pend []*crossOp, co *crossOp) []*crossOp {
 		}
 	}
 	return pend
+}
+
+// disjoint reports whether two sorted int slices share no element.
+func disjoint(a, b []int) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // unionSorted merges two sorted duplicate-free int slices.

@@ -17,10 +17,11 @@ import (
 // identical per-lane total order the real broadcasters guarantee, so
 // group tests exercise the merge, not the transport.
 type memLane struct {
-	mu     sync.Mutex
-	seq    int64
-	outs   []chan abcast.Delivery
-	closed bool
+	mu      sync.Mutex
+	seq     int64
+	tickets int64 // Ticket payloads broadcast
+	outs    []chan abcast.Delivery
+	closed  bool
 }
 
 func newMemLane(n int) *memLane {
@@ -39,6 +40,9 @@ func (l *memLane) Broadcast(from int, payload any, bytes int) error {
 	}
 	d := abcast.Delivery{Seq: l.seq, From: from, Payload: payload}
 	l.seq++
+	if _, ok := payload.(Ticket); ok {
+		l.tickets++
+	}
 	for _, ch := range l.outs {
 		ch <- d
 	}
@@ -61,13 +65,16 @@ func (l *memLane) Close() {
 	}
 }
 
-// testPayload is a routable broadcast payload.
+// testPayload is a routable broadcast payload; Lane picks its
+// session's issuing lane.
 type testPayload struct {
-	ID int
-	Fp []object.ID
+	ID   int
+	Fp   []object.ID
+	Lane int
 }
 
 func (p testPayload) RoutingFootprint() []object.ID { return p.Fp }
+func (p testPayload) RoutingLane() int              { return p.Lane }
 
 func newTestGroup(t *testing.T, procs, objects, shards int) *Group {
 	t.Helper()
@@ -180,10 +187,10 @@ func TestGroupSingleShardOrder(t *testing.T) {
 	for i := 0; i < ops; i++ {
 		x := object.ID(rng.Intn(objects))
 		from := rng.Intn(procs)
-		// Reset the issuer's anchor to the op's own shard so every op
-		// stays single-shard — this test isolates the fast path.
+		// Drop the issuer's session anchor so every op stays
+		// single-shard — this test isolates the fast path.
 		g.anchMu.Lock()
-		g.anchors[from] = nil
+		delete(g.anchors, from)
 		g.anchMu.Unlock()
 		if err := g.Broadcast(from, testPayload{ID: i, Fp: []object.ID{x}}, 8); err != nil {
 			t.Fatal(err)
@@ -265,6 +272,147 @@ func TestGroupSessionAnchorPreservesProcessOrder(t *testing.T) {
 	}
 }
 
+// tickets sums the Ticket broadcasts over g's memLanes.
+func tickets(g *Group) int64 {
+	var n int64
+	for _, l := range g.lanes {
+		m := l.(*memLane)
+		m.mu.Lock()
+		n += m.tickets
+		m.mu.Unlock()
+	}
+	return n
+}
+
+// issue broadcasts ops from process from one at a time, each once
+// the issuer's replica has delivered the one before — a session's
+// previous operation has completed when it issues the next — and
+// returns every replica's deliveries.
+func issue(t *testing.T, g *Group, procs, from int, ops []testPayload) [][]abcast.Delivery {
+	t.Helper()
+	got := make([][]abcast.Delivery, procs)
+	for _, op := range ops {
+		if err := g.Broadcast(from, op, 8); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case d := <-g.Deliveries(from):
+			got[from] = append(got[from], d)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("payload %d never delivered at its issuer", op.ID)
+		}
+	}
+	for p := range got {
+		for len(got[p]) < len(ops) {
+			select {
+			case d := <-g.Deliveries(p):
+				got[p] = append(got[p], d)
+			case <-time.After(10 * time.Second):
+				t.Fatalf("replica %d: timed out after %d deliveries", p, len(got[p]))
+			}
+		}
+	}
+	return got
+}
+
+// A session that crosses once into a lower foreign shard goes back to
+// single-lane broadcasts at its next home-shard update: its anchor is
+// the cross operation's whole lane set, which the home shard is in. An
+// anchor compressed to the lowest involved shard would stay on the
+// foreign shard and promote every later home update into the merge.
+func TestGroupSessionLeavesMergeAfterCross(t *testing.T) {
+	const procs, objects, shards, home = 2, 8, 4, 10
+	g := newTestGroup(t, procs, objects, shards)
+	defer g.Close()
+
+	ops := []testPayload{{ID: 0, Fp: []object.ID{2}}, {ID: 1, Fp: []object.ID{1, 2}}}
+	for i := 0; i < home; i++ {
+		ops = append(ops, testPayload{ID: 2 + i, Fp: []object.ID{object.ID(2 + shards*(i%2))}})
+	}
+	got := issue(t, g, procs, 0, ops)
+	checkComposed(t, got, shards)
+	if n := tickets(g); n != 2 {
+		t.Fatalf("%d Tickets, want 2 (the one cross operation on its two lanes)", n)
+	}
+	if st := g.Stats(); st.Single != 1+home || st.Merged != 1 {
+		t.Fatalf("Stats = %+v, want %d single and 1 merged", st, 1+home)
+	}
+	for p, ds := range got {
+		for i, d := range ds {
+			if id := d.Payload.(testPayload).ID; id != i {
+				t.Fatalf("replica %d: delivery %d is payload %d: session order broken", p, i, id)
+			}
+		}
+	}
+}
+
+// Two sessions of one process keep separate anchors: each session's
+// updates stay on its own shard, and each session's reads are local
+// only on its own lane. A process-wide anchor would promote every
+// update here into the merge.
+func TestGroupSessionsKeepSeparateAnchors(t *testing.T) {
+	const procs, objects, shards = 2, 8, 4
+	g := newTestGroup(t, procs, objects, shards)
+	defer g.Close()
+
+	var ops []testPayload
+	for i := 0; i < 4; i++ {
+		lane := i % 2
+		ops = append(ops, testPayload{ID: i, Fp: []object.ID{object.ID(1 + lane)}, Lane: lane})
+	}
+	checkComposed(t, issue(t, g, procs, 0, ops), shards)
+	if n := tickets(g); n != 0 {
+		t.Fatalf("%d Tickets, want 0", n)
+	}
+	reads := []struct {
+		lane int
+		fp   []object.ID
+		want bool
+	}{
+		{0, []object.ID{1}, true},     // lane 0's anchor is shard 1
+		{0, []object.ID{2}, false},    // shard 2 is lane 1's
+		{1, []object.ID{2, 6}, true},  // one shard, lane 1's own
+		{1, []object.ID{1}, false},    // shard 1 is lane 0's
+		{2, []object.ID{3}, true},     // a new session reads anywhere once
+		{0, []object.ID{1, 2}, false}, // two shards are never local
+	}
+	for _, r := range reads {
+		if got := g.ReadLocal(0, r.lane, r.fp); got != r.want {
+			t.Errorf("ReadLocal(0, %d, %v) = %v, want %v", r.lane, r.fp, got, r.want)
+		}
+	}
+	if st := g.Stats(); st.Single != 4 || st.Merged != 0 || st.LocalReads != 3 || st.OrderedReads != 3 {
+		t.Fatalf("Stats = %+v, want 4 single, 3 local and 3 ordered reads", st)
+	}
+}
+
+// A local read moves its session's anchor to the lane it read: the
+// session's next update on another shard is promoted onto that lane,
+// so it is ordered after the point the read observed.
+func TestGroupReadLocalAnchorsSession(t *testing.T) {
+	const procs, objects, shards = 2, 8, 4
+	g := newTestGroup(t, procs, objects, shards)
+	defer g.Close()
+
+	if !g.ReadLocal(1, 0, []object.ID{3}) {
+		t.Fatal("first read of a session not local")
+	}
+	if err := g.Broadcast(1, testPayload{ID: 1, Fp: []object.ID{0}}, 8); err != nil {
+		t.Fatal(err)
+	}
+	got := collect(t, g, procs, 1)
+	for p, ds := range got {
+		if want := []int{0, 3}; !reflect.DeepEqual(ds[0].Shards, want) {
+			t.Fatalf("replica %d: shards %v, want %v", p, ds[0].Shards, want)
+		}
+	}
+	// The update's lanes are now the anchor: shard 3 stays local, and
+	// a read of shard 1 must be ordered.
+	if !g.ReadLocal(1, 0, []object.ID{7}) || g.ReadLocal(1, 0, []object.ID{1}) {
+		t.Fatal("anchor after the promoted update is not {0, 3}")
+	}
+}
+
 func TestGroupTouchQueryAnchors(t *testing.T) {
 	const procs, objects, shards = 2, 8, 4
 	g := newTestGroup(t, procs, objects, shards)
@@ -273,7 +421,7 @@ func TestGroupTouchQueryAnchors(t *testing.T) {
 	// A query observing shards 1 and 3 forces the next update (shard 0)
 	// to be ordered after the observed prefixes: it must go out as a
 	// cross op over {0, 1, 3}.
-	g.TouchQuery(0, []object.ID{1, 3})
+	g.TouchQuery(0, 0, []object.ID{1, 3})
 	if err := g.Broadcast(0, testPayload{ID: 1, Fp: []object.ID{0}}, 8); err != nil {
 		t.Fatal(err)
 	}
