@@ -37,15 +37,19 @@ codec-gate:
 	$(GO) test ./internal/shard/ -run FuzzRouting -count=1
 
 # shard-smoke = the sharding acceptance checks, race-instrumented: the
-# randomized cross-shard interleaving test in short mode (seeded
-# adversarial schedules over the ticket/commit merge, every history
-# through the unchanged exact checker), the store-buffering litmus
-# cells (SB, SB with multi-reads, IRIW and a pipelined SB on two
+# shard.Group unit tests (exact ticket/close/commit message counts per
+# lane, replicas fed the same lane streams in different cross-lane
+# interleavings, no hold-back at the issuer), the randomized
+# cross-shard interleaving test in short mode (seeded adversarial
+# schedules over the three-phase ticket/close/commit merge, every
+# history through the unchanged exact checker), the store-buffering
+# litmus cells (SB, SB with multi-reads, IRIW and a pipelined SB on two
 # shards, m-SC and m-lin, 60 seeds each through the exact checker),
 # plus the sharded chaos cell (one lane coordinator SIGKILLed
 # mid-campaign; the surviving shard must keep serving and the merged
 # traces must verify).
 shard-smoke:
+	$(GO) test ./internal/shard/ -race -run 'TestGroup' -count=1
 	$(GO) test ./internal/core/ -race -short -run 'TestShardInterleaving|TestShardStoreBuffering' -count=1 -v
 	$(GO) test ./internal/chaos/ -race -run TestChaosShardedLaneKill -count=1 -v
 

@@ -3,7 +3,9 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"moc/internal/abcast"
 	"moc/internal/network"
@@ -39,15 +41,22 @@ type GroupConfig struct {
 //   - A single-shard m-operation is broadcast on its shard's lane and
 //     emitted the moment that lane delivers it.
 //
-//   - A cross-shard m-operation runs a Skeen-style two-phase merge: a
-//     Ticket is broadcast on every involved lane; each replica stamps
-//     the ticket with that lane's local ticket clock; when the issuer's
-//     replica holds tickets from all involved lanes it commits the
-//     maximum as the final rank and broadcasts a Commit on every
-//     involved lane. Within a lane, a committed operation is scheduled
-//     only once no pending ticket could still rank below it — the
-//     classic Skeen hold-back — so each lane schedules its cross
-//     operations in ascending (final, id) order, which is one global
+//   - A cross-shard m-operation runs a Skeen-style merge in three
+//     phases, 2k−1 lane broadcasts for k lanes. A Ticket goes on every
+//     involved lane but the closing one; each replica stamps it with
+//     that lane's local ticket clock. Once the issuer's replica has
+//     ranked it on all of them, a Close goes on the closing lane with
+//     the partial rank, the maximum of those stamps; each replica
+//     stamps the Close too and commits the operation there at once with
+//     final rank max(partial, stamp). Once the issuer's replica has
+//     done so, a Commit with the final rank goes on every other
+//     involved lane. The closing lane is the one the operation reaches
+//     into (see Broadcast): it pays one round trip instead of two, and
+//     the session's own lanes carry the operation's last event. Within
+//     a lane, a committed operation is scheduled only once no pending
+//     ticket could still rank below it — the classic Skeen hold-back —
+//     so each lane schedules its cross operations in ascending
+//     (final, id) order, which is one global
 //     total order: no two lanes ever disagree on the relative order of
 //     two cross operations, and the apply barrier cannot cycle. The
 //     operation is emitted when it heads every involved lane's schedule
@@ -96,6 +105,7 @@ type Group struct {
 	anchMu  sync.Mutex
 	anchors map[int]anchor // per session: from + lane·procs
 	stats   Stats          // under anchMu
+	held    atomic.Int64   // Stats.Held; pumps count under a replica lock
 
 	idMu   sync.Mutex
 	nextID int64
@@ -115,15 +125,19 @@ type anchor struct {
 // counted by the broadcast that carries it.
 type Stats struct {
 	// Single and Merged count broadcasts that rode one lane and those
-	// that ran the ticket/commit merge.
+	// that ran the cross-shard merge.
 	Single, Merged int64
 	// LocalReads and OrderedReads count ReadLocal's verdicts.
 	LocalReads, OrderedReads int64
+	// Held counts single-shard deliveries a replica queued behind a
+	// scheduled but unapplied cross-shard operation, summed over
+	// replicas.
+	Held int64
 }
 
 // Ticket is phase one of the cross-shard merge: it carries the
-// operation's payload to every involved lane, where each replica ranks
-// it with the lane's local ticket clock.
+// operation's payload to every involved lane but the closing one, where
+// each replica ranks it with the lane's local ticket clock.
 type Ticket struct {
 	// ID is the globally unique cross-operation id (issuer-scoped
 	// counter × procs + issuer).
@@ -132,15 +146,28 @@ type Ticket struct {
 	From int
 	// Shards is the sorted involved shard set.
 	Shards []int
+	// Closer is the closing lane, the involved lane that gets the Close
+	// instead of a Ticket.
+	Closer int
 	// Payload is the wrapped broadcast payload.
 	Payload any
 	// Bytes is the accounted wire size of the wrapped payload.
 	Bytes int
 }
 
-// Commit is phase two: the issuer's replica, having seen the ticket on
-// every involved lane, fixes the operation's final rank (the maximum of
-// the per-lane ticket clocks) and announces it on every involved lane.
+// Close is phase two: the issuer's replica, having ranked the Ticket on
+// every other involved lane, sends the operation to the closing lane
+// with Partial, the maximum of those ranks. Each replica stamps it with
+// the closing lane's ticket clock and commits it there at once with
+// final rank max(Partial, stamp).
+type Close struct {
+	Ticket
+	Partial int64
+}
+
+// Commit is phase three: the issuer's replica, having committed the
+// operation on the closing lane, announces its final rank on every
+// other involved lane.
 type Commit struct {
 	ID    int64
 	Final int64
@@ -148,16 +175,11 @@ type Commit struct {
 
 // crossOp is one in-flight cross-shard operation at one replica.
 type crossOp struct {
-	id      int64
-	from    int
-	shards  []int
-	payload any
-	bytes   int
+	Ticket // the operation, from its first Ticket or Close here
 
 	lts       map[int]int64 // per-lane local ticket clock values
-	final     int64         // rank from Commit; valid once committed in any lane
-	committed map[int]bool  // lanes whose Commit this replica has processed
-	sent      bool          // issuer-side: Commit already broadcast
+	final     int64         // rank from Close or Commit; valid once committed in any lane
+	committed map[int]bool  // lanes whose Close or Commit this replica has processed
 }
 
 // schedEntry is one slot of a lane's schedule: either a cross operation
@@ -223,8 +245,10 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 // Broadcast routes by the payload's footprint and session (see Group):
 // the involved shard set is the footprint's shards and the session's
 // touched shards, plus the anchor's lowest lane if the two are
-// disjoint; one shard rides its lane directly, several run the
-// ticket/commit merge. The set becomes the session's anchor.
+// disjoint; one shard rides its lane directly, several run the merge,
+// closing on the highest involved lane outside the anchor (the highest
+// involved lane if the anchor covers them all). The set becomes the
+// session's anchor.
 func (g *Group) Broadcast(from int, payload any, bytes int) error {
 	var fp []object.ID
 	lane := 0
@@ -243,6 +267,7 @@ func (g *Group) Broadcast(from int, payload any, bytes int) error {
 	if a.lanes != nil && disjoint(involved, a.lanes) {
 		involved = unionSorted(involved, a.lanes[:1])
 	}
+	closer := closingLane(involved, a.lanes)
 	g.anchors[key] = anchor{lanes: involved}
 	if len(involved) == 1 {
 		g.stats.Single++
@@ -259,13 +284,27 @@ func (g *Group) Broadcast(from int, payload any, bytes int) error {
 	g.nextID++
 	id := g.nextID*int64(g.procs) + int64(from)
 	g.idMu.Unlock()
-	t := Ticket{ID: id, From: from, Shards: involved, Payload: payload, Bytes: bytes}
+	t := Ticket{ID: id, From: from, Shards: involved, Closer: closer, Payload: payload, Bytes: bytes}
 	for _, s := range involved {
+		if s == closer {
+			continue
+		}
 		if err := g.lanes[s].Broadcast(from, t, bytes+ticketOverhead(len(involved))); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// closingLane returns the highest involved lane outside the anchor, or
+// the highest involved lane if the anchor covers them all.
+func closingLane(involved, anchor []int) int {
+	for i := len(involved) - 1; i >= 0; i-- {
+		if !slices.Contains(anchor, involved[i]) {
+			return involved[i]
+		}
+	}
+	return involved[len(involved)-1]
 }
 
 // TouchQuery records that an m-lin query of session (proc, lane)
@@ -320,8 +359,10 @@ func (g *Group) session(proc, lane int) (int, bool) {
 // Stats returns the routing counters.
 func (g *Group) Stats() Stats {
 	g.anchMu.Lock()
-	defer g.anchMu.Unlock()
-	return g.stats
+	st := g.stats
+	g.anchMu.Unlock()
+	st.Held = g.held.Load()
+	return st
 }
 
 // Deliveries returns process p's composed delivery stream.
@@ -378,75 +419,85 @@ func (g *Group) Close() {
 func (g *Group) pump(r, s int) {
 	defer g.wg.Done()
 	ch := g.lanes[s].Deliveries(r)
-	st := g.reps[r]
 	for {
-		var d abcast.Delivery
-		var ok bool
 		select {
 		case <-g.stop:
 			return
-		case d, ok = <-ch:
+		case d, ok := <-ch:
 			if !ok {
 				return
 			}
+			g.deliver(r, s, d)
 		}
-		st.mu.Lock()
-		switch m := d.Payload.(type) {
-		case Ticket:
-			co := st.ensure(m.ID)
-			if co.payload == nil {
-				co.from, co.shards, co.payload, co.bytes = m.From, m.Shards, m.Payload, m.Bytes
-			}
-			st.tclock[s]++
-			co.lts[s] = st.tclock[s]
-			st.pend[s] = append(st.pend[s], co)
-			if r == co.from && !co.sent && len(co.lts) == len(co.shards) {
-				// This replica is the issuer's and has now ranked the op
-				// in every involved lane: fix the final rank and announce
-				// it. Broadcast outside the mutex (lane submission may
-				// block) and exactly once.
-				co.sent = true
-				var final int64
-				for _, t := range co.lts {
-					if t > final {
-						final = t
-					}
-				}
-				g.wg.Add(1)
-				go g.sendCommit(co.from, co.shards, Commit{ID: co.id, Final: final})
-			}
-		case Commit:
-			co := st.ensure(m.ID)
-			co.final = m.Final
-			co.committed[s] = true
-			// Lamport-style clock merge: later tickets in this lane must
-			// rank above every committed final, or a new ticket could
-			// slot under an already-committed op.
-			if m.Final > st.tclock[s] {
-				st.tclock[s] = m.Final
-			}
-		default:
-			// Single-shard operation. If nothing is scheduled ahead of it
-			// in this lane, it emits at the lane's next apply slot; behind
-			// a scheduled-but-unapplied cross operation it is held back —
-			// the cross op's lane rank is already fixed, so the single is
-			// ordered after it at every replica.
-			if len(st.sched[s]) == 0 {
-				st.seqClock[s]++
-				g.emitLocked(st, r, abcast.Delivery{
-					Seq:     st.seqClock[s]*int64(g.m.shards) + int64(s),
-					From:    d.From,
-					Payload: d.Payload,
-					Shards:  []int{s},
-				})
-			} else {
-				st.sched[s] = append(st.sched[s], schedEntry{single: d})
-			}
-		}
-		st.scheduleLocked(s)
-		g.advanceLocked(st, r)
-		st.mu.Unlock()
 	}
+}
+
+// deliver merges lane s's next delivery d into replica r's state.
+func (g *Group) deliver(r, s int, d abcast.Delivery) {
+	st := g.reps[r]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	switch m := d.Payload.(type) {
+	case Ticket:
+		co := st.ensure(m)
+		st.tclock[s]++
+		co.lts[s] = st.tclock[s]
+		st.pend[s] = append(st.pend[s], co)
+		if r == co.From && len(co.lts) == len(co.Shards)-1 {
+			// This replica is the issuer's and has now ranked the op on
+			// every lane but the closing one: send it there with the
+			// partial rank. Broadcast outside the mutex (lane submission
+			// may block).
+			c := Close{Ticket: co.Ticket}
+			for _, t := range co.lts {
+				c.Partial = max(c.Partial, t)
+			}
+			g.wg.Add(1)
+			go g.send(co.From, []int{co.Closer}, c, co.Bytes+ticketOverhead(len(co.Shards))+closeBytes)
+		}
+	case Close:
+		// The closing lane's only message for this op: stamp it and
+		// commit it here at once.
+		co := st.ensure(m.Ticket)
+		st.tclock[s]++
+		st.commitLocked(s, co, max(m.Partial, st.tclock[s]))
+		st.pend[s] = append(st.pend[s], co)
+		if r == co.From {
+			g.wg.Add(1)
+			go g.send(co.From, co.own(), Commit{ID: co.ID, Final: co.final}, commitBytes)
+		}
+	case Commit:
+		st.commitLocked(s, st.cross[m.ID], m.Final)
+	default:
+		// Single-shard operation. If nothing is scheduled ahead of it
+		// in this lane, it emits at the lane's next apply slot; behind
+		// a scheduled-but-unapplied cross operation it is held back —
+		// the cross op's lane rank is already fixed, so the single is
+		// ordered after it at every replica.
+		if len(st.sched[s]) == 0 {
+			st.seqClock[s]++
+			g.emitLocked(st, r, abcast.Delivery{
+				Seq:     st.seqClock[s]*int64(g.m.shards) + int64(s),
+				From:    d.From,
+				Payload: d.Payload,
+				Shards:  []int{s},
+			})
+		} else {
+			st.sched[s] = append(st.sched[s], schedEntry{single: d})
+			g.held.Add(1)
+		}
+	}
+	st.scheduleLocked(s)
+	g.advanceLocked(st, r)
+}
+
+// commitLocked fixes co's final rank in lane s. Lamport-style clock
+// merge: later tickets in this lane must rank above every committed
+// final, or a new ticket could slot under an already-committed op.
+func (st *replica) commitLocked(s int, co *crossOp, final int64) {
+	co.final = final
+	co.committed[s] = true
+	st.tclock[s] = max(st.tclock[s], final)
 }
 
 // scheduleLocked moves shard s's eligible cross operations from pending
@@ -488,9 +539,9 @@ func (st *replica) minPending(s int) *crossOp {
 
 func (st *replica) rank(s int, co *crossOp) (int64, int64) {
 	if co.committed[s] {
-		return co.final, co.id
+		return co.final, co.ID
 	}
-	return co.lts[s], co.id
+	return co.lts[s], co.ID
 }
 
 // advanceLocked drains every lane schedule as far as it will go: held
@@ -532,7 +583,7 @@ func (g *Group) advanceLocked(st *replica, r int) {
 // headsAllLanes reports whether co is at the front of every involved
 // lane's schedule at this replica.
 func (st *replica) headsAllLanes(co *crossOp) bool {
-	for _, u := range co.shards {
+	for _, u := range co.Shards {
 		if len(st.sched[u]) == 0 || st.sched[u][0].co != co {
 			return false
 		}
@@ -544,27 +595,27 @@ func (st *replica) headsAllLanes(co *crossOp) bool {
 // front of every involved shard's schedule. The composite apply clock
 // is max over the involved shards plus one, written back to each, so
 // the emitted Seq is strictly above everything already applied in any
-// involved shard. Eligibility required co's Ticket and Commit on every
-// involved lane, so no further messages for this id can arrive and the
-// map entry is dropped.
+// involved shard. Eligibility required co's Close on the closing lane
+// and its Ticket and Commit on every other involved lane, so no further
+// messages for this id can arrive and the map entry is dropped.
 func (g *Group) applyCrossLocked(st *replica, r int, co *crossOp) {
 	var a int64
-	for _, u := range co.shards {
+	for _, u := range co.Shards {
 		if st.seqClock[u] > a {
 			a = st.seqClock[u]
 		}
 	}
 	a++
-	for _, u := range co.shards {
+	for _, u := range co.Shards {
 		st.seqClock[u] = a
 		st.sched[u] = st.sched[u][1:]
 	}
-	delete(st.cross, co.id)
+	delete(st.cross, co.ID)
 	g.emitLocked(st, r, abcast.Delivery{
-		Seq:     a*int64(g.m.shards) + int64(co.shards[0]),
-		From:    co.from,
-		Payload: co.payload,
-		Shards:  append([]int(nil), co.shards...),
+		Seq:     a*int64(g.m.shards) + int64(co.Shards[0]),
+		From:    co.From,
+		Payload: co.Payload,
+		Shards:  append([]int(nil), co.Shards...),
 	})
 }
 
@@ -575,27 +626,42 @@ func (g *Group) emitLocked(st *replica, r int, d abcast.Delivery) {
 	}
 }
 
-func (g *Group) sendCommit(from int, shards []int, c Commit) {
+// send broadcasts one merge message from the issuer on each of lanes.
+func (g *Group) send(from int, lanes []int, m any, bytes int) {
 	defer g.wg.Done()
-	for _, s := range shards {
-		if err := g.lanes[s].Broadcast(from, c, commitBytes); err != nil {
+	for _, s := range lanes {
+		if err := g.lanes[s].Broadcast(from, m, bytes); err != nil {
 			return
 		}
 	}
 }
 
-func (st *replica) ensure(id int64) *crossOp {
-	co, ok := st.cross[id]
+// ensure returns the state of t's operation, created on its first
+// Ticket or Close at this replica.
+func (st *replica) ensure(t Ticket) *crossOp {
+	co, ok := st.cross[t.ID]
 	if !ok {
 		co = &crossOp{
-			id:        id,
+			Ticket:    t,
 			final:     -1,
 			lts:       make(map[int]int64),
 			committed: make(map[int]bool),
 		}
-		st.cross[id] = co
+		st.cross[t.ID] = co
 	}
 	return co
+}
+
+// own returns co's involved lanes other than the closing one: those
+// that carry its Ticket and its Commit.
+func (co *crossOp) own() []int {
+	lanes := make([]int, 0, len(co.Shards)-1)
+	for _, s := range co.Shards {
+		if s != co.Closer {
+			lanes = append(lanes, s)
+		}
+	}
+	return lanes
 }
 
 func removeOp(pend []*crossOp, co *crossOp) []*crossOp {
@@ -649,6 +715,9 @@ func unionSorted(a, b []int) []int {
 }
 
 // Wire-size accounting for the merge control traffic.
-const commitBytes = 16
+const (
+	commitBytes = 16
+	closeBytes  = 8 // a Close's partial rank on top of its ticket
+)
 
 func ticketOverhead(shards int) int { return 24 + 8*shards }

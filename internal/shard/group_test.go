@@ -17,12 +17,15 @@ import (
 // identical per-lane total order the real broadcasters guarantee, so
 // group tests exercise the merge, not the transport.
 type memLane struct {
-	mu      sync.Mutex
-	seq     int64
-	tickets int64 // Ticket payloads broadcast
-	outs    []chan abcast.Delivery
-	closed  bool
+	mu     sync.Mutex
+	seq    int64
+	merge  mergeMsgs // merge messages broadcast, by kind
+	outs   []chan abcast.Delivery
+	closed bool
 }
+
+// mergeMsgs counts one lane's merge broadcasts by kind.
+type mergeMsgs struct{ Tickets, Closes, Commits int64 }
 
 func newMemLane(n int) *memLane {
 	l := &memLane{outs: make([]chan abcast.Delivery, n)}
@@ -40,8 +43,13 @@ func (l *memLane) Broadcast(from int, payload any, bytes int) error {
 	}
 	d := abcast.Delivery{Seq: l.seq, From: from, Payload: payload}
 	l.seq++
-	if _, ok := payload.(Ticket); ok {
-		l.tickets++
+	switch payload.(type) {
+	case Ticket:
+		l.merge.Tickets++
+	case Close:
+		l.merge.Closes++
+	case Commit:
+		l.merge.Commits++
 	}
 	for _, ch := range l.outs {
 		ch <- d
@@ -272,16 +280,16 @@ func TestGroupSessionAnchorPreservesProcessOrder(t *testing.T) {
 	}
 }
 
-// tickets sums the Ticket broadcasts over g's memLanes.
-func tickets(g *Group) int64 {
-	var n int64
-	for _, l := range g.lanes {
+// merges returns the merge broadcasts of each of g's memLanes.
+func merges(g *Group) []mergeMsgs {
+	out := make([]mergeMsgs, len(g.lanes))
+	for s, l := range g.lanes {
 		m := l.(*memLane)
 		m.mu.Lock()
-		n += m.tickets
+		out[s] = m.merge
 		m.mu.Unlock()
 	}
-	return n
+	return out
 }
 
 // issue broadcasts ops from process from one at a time, each once
@@ -331,8 +339,10 @@ func TestGroupSessionLeavesMergeAfterCross(t *testing.T) {
 	}
 	got := issue(t, g, procs, 0, ops)
 	checkComposed(t, got, shards)
-	if n := tickets(g); n != 2 {
-		t.Fatalf("%d Tickets, want 2 (the one cross operation on its two lanes)", n)
+	// The one cross operation: a Ticket and a Commit on the home shard
+	// 2, and a Close on shard 1, the shard it reaches into.
+	if got, want := merges(g), []mergeMsgs{{}, {Closes: 1}, {Tickets: 1, Commits: 1}, {}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("merge messages per lane = %+v, want %+v", got, want)
 	}
 	if st := g.Stats(); st.Single != 1+home || st.Merged != 1 {
 		t.Fatalf("Stats = %+v, want %d single and 1 merged", st, 1+home)
@@ -343,6 +353,316 @@ func TestGroupSessionLeavesMergeAfterCross(t *testing.T) {
 				t.Fatalf("replica %d: delivery %d is payload %d: session order broken", p, i, id)
 			}
 		}
+	}
+}
+
+// A k-lane operation costs 2k−1 lane broadcasts: a Ticket and a Commit
+// on each lane but the closing one, and one Close there. The closing
+// lane is the highest involved lane outside the session's anchor, or
+// the highest involved lane when the anchor covers them all.
+func TestGroupMergeMessageCounts(t *testing.T) {
+	const procs, objects, shards = 2, 8, 4
+	cases := []struct {
+		name  string
+		setup [][]object.ID // the session's earlier operations
+		fp    []object.ID   // the operation counted
+		want  []mergeMsgs
+	}{
+		{"2 lanes, reaching up", [][]object.ID{{0}}, []object.ID{0, 1},
+			[]mergeMsgs{{Tickets: 1, Commits: 1}, {Closes: 1}, {}, {}}},
+		{"2 lanes, reaching down", [][]object.ID{{2}}, []object.ID{1, 2},
+			[]mergeMsgs{{}, {Closes: 1}, {Tickets: 1, Commits: 1}, {}}},
+		{"3 lanes, one foreign", [][]object.ID{{0}}, []object.ID{0, 1, 3},
+			[]mergeMsgs{{Tickets: 1, Commits: 1}, {Tickets: 1, Commits: 1}, {}, {Closes: 1}}},
+		{"3 lanes, first operation", nil, []object.ID{0, 1, 2},
+			[]mergeMsgs{{Tickets: 1, Commits: 1}, {Tickets: 1, Commits: 1}, {Closes: 1}, {}}},
+		{"2 lanes inside the anchor", [][]object.ID{{0, 1, 2}}, []object.ID{1, 2},
+			[]mergeMsgs{{}, {Tickets: 1, Commits: 1}, {Closes: 1}, {}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g := newTestGroup(t, procs, objects, shards)
+			defer g.Close()
+			var ops []testPayload
+			for i, fp := range c.setup {
+				ops = append(ops, testPayload{ID: i, Fp: fp})
+			}
+			issue(t, g, procs, 0, ops)
+			before := merges(g)
+			got := issue(t, g, procs, 0, []testPayload{{ID: len(ops), Fp: c.fp}})
+			after := merges(g)
+			var total int64
+			for s := range after {
+				after[s].Tickets -= before[s].Tickets
+				after[s].Closes -= before[s].Closes
+				after[s].Commits -= before[s].Commits
+				total += after[s].Tickets + after[s].Closes + after[s].Commits
+			}
+			if !reflect.DeepEqual(after, c.want) {
+				t.Fatalf("merge messages per lane = %+v, want %+v", after, c.want)
+			}
+			if k := int64(len(got[0][0].Shards)); total != 2*k-1 {
+				t.Fatalf("%d merge messages for a %d-lane operation, want %d", total, k, 2*k-1)
+			}
+		})
+	}
+}
+
+// The issuer's replica commits a cross operation on the lane it reaches
+// into before it sends the Commit on its own lane, so the operation
+// applies there the moment that Commit arrives: the session's own
+// single-shard traffic on that lane is never held behind it.
+func TestGroupIssuerHoldsNothingBehindClose(t *testing.T) {
+	const objects, shards, crosses = 8, 4, 50
+	g := newTestGroup(t, 1, objects, shards)
+	defer g.Close()
+
+	ids := make(chan int, 1<<16)
+	go func() {
+		for d := range g.Deliveries(0) {
+			ids <- d.Payload.(testPayload).ID
+		}
+	}()
+	await := func(id int) {
+		t.Helper()
+		for {
+			select {
+			case got := <-ids:
+				if got == id {
+					return
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("payload %d never delivered", id)
+			}
+		}
+	}
+	// Session 0 lives on shard 0 and reaches into shard 1 with every
+	// cross operation; session 1 streams singles on shard 0 meanwhile.
+	if err := g.Broadcast(0, testPayload{ID: 0, Fp: []object.ID{0}}, 8); err != nil {
+		t.Fatal(err)
+	}
+	await(0)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 1<<14; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := g.Broadcast(0, testPayload{ID: -1, Fp: []object.ID{4}, Lane: 1}, 8); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 1; i <= crosses; i++ {
+		if err := g.Broadcast(0, testPayload{ID: i, Fp: []object.ID{0, 1}}, 8); err != nil {
+			t.Fatal(err)
+		}
+		await(i)
+	}
+	close(stop)
+	wg.Wait()
+	if st := g.Stats(); st.Merged != crosses || st.Held != 0 {
+		t.Fatalf("Stats = %+v, want %d merged and 0 held", st, crosses)
+	}
+}
+
+// logLane sequences broadcasts into a log and delivers none of them: a
+// test feeds the log to each replica through Group.deliver, in a
+// cross-lane interleaving of its choosing.
+type logLane struct {
+	mu  sync.Mutex
+	log []abcast.Delivery
+}
+
+func (l *logLane) Broadcast(from int, payload any, bytes int) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.log = append(l.log, abcast.Delivery{Seq: int64(len(l.log)), From: from, Payload: payload})
+	return nil
+}
+
+func (l *logLane) Deliveries(int) <-chan abcast.Delivery { return nil }
+func (l *logLane) MessageCost() (int64, int64)           { return 0, 0 }
+func (l *logLane) NetStats() network.Stats               { return network.Stats{} }
+func (l *logLane) Close()                                {}
+
+// at returns log entry i, if it has been sequenced.
+func (l *logLane) at(i int) (abcast.Delivery, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if i >= len(l.log) {
+		return abcast.Delivery{}, false
+	}
+	return l.log[i], true
+}
+
+// scripted drives a group over logLanes one delivery at a time.
+type scripted struct {
+	t     *testing.T
+	g     *Group
+	lanes []*logLane
+	pos   [][]int             // per replica and lane: next log entry
+	got   [][]abcast.Delivery // per replica: emitted deliveries
+}
+
+func newScripted(t *testing.T, procs, objects, shards int) *scripted {
+	t.Helper()
+	m, err := NewMap(objects, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := &scripted{t: t, got: make([][]abcast.Delivery, procs)}
+	lanes := make([]abcast.Broadcaster, shards)
+	for s := range lanes {
+		l := &logLane{}
+		sc.lanes = append(sc.lanes, l)
+		lanes[s] = l
+	}
+	for p := 0; p < procs; p++ {
+		sc.pos = append(sc.pos, make([]int, shards))
+	}
+	if sc.g, err = NewGroup(GroupConfig{Procs: procs, Map: m, Lanes: lanes}); err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
+// step delivers lane s's next sequenced message to replica r and
+// reports whether there was one.
+func (sc *scripted) step(r, s int) bool {
+	d, ok := sc.lanes[s].at(sc.pos[r][s])
+	if !ok {
+		return false
+	}
+	sc.pos[r][s]++
+	sc.g.deliver(r, s, d)
+	for {
+		select {
+		case d := <-sc.g.Deliveries(r):
+			sc.got[r] = append(sc.got[r], d)
+		default:
+			return true
+		}
+	}
+}
+
+// run steps replicas rs one message per lane in turn until each has
+// emitted n deliveries. It waits when the logs run dry: the issuer's
+// Close and Commit broadcasts run on their own goroutines.
+func (sc *scripted) run(rs []int, n int) {
+	sc.t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		done, progress := true, false
+		for _, r := range rs {
+			for s := range sc.lanes {
+				progress = sc.step(r, s) || progress
+			}
+			done = done && len(sc.got[r]) >= n
+		}
+		if done {
+			return
+		}
+		if !progress {
+			if time.Now().After(deadline) {
+				sc.t.Fatalf("replicas %v stalled", rs)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// broadcast issues op from process from.
+func (sc *scripted) broadcast(from int, op testPayload) {
+	sc.t.Helper()
+	if err := sc.g.Broadcast(from, op, 8); err != nil {
+		sc.t.Fatal(err)
+	}
+}
+
+// Replicas fed the same lane streams in different cross-lane
+// interleavings end with identical per-lane schedules. The two issuers
+// run first and complete the lane logs; every other replica then reads
+// the logs lane by lane in one of the six lane orders, or in a random
+// interleaving. The logs hold two concurrent two-lane operations that
+// close on each other's own lane (X closes on shard 1, Y on shard 0),
+// two concurrent three-lane operations ticketed in opposite lane orders
+// (U before V on shard 0, V before U on shard 1) that both close on
+// shard 2, and single-shard traffic before and after all of them. Lane
+// orders starting on an operation's closing lane see its Close before
+// its own-lane Commits; the others see it after them.
+func TestGroupCloseInterleavings(t *testing.T) {
+	perms := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	const issuers, randoms, objects, shards = 2, 4, 6, 3
+	procs := issuers + len(perms) + randoms
+	sc := newScripted(t, procs, objects, shards)
+	defer sc.g.Close()
+
+	// Sessions (0, 0) and (1, 0) read shards 0 and 1 first: those become
+	// their anchors, so X and Y each close on the other's shard.
+	sc.g.ReadLocal(0, 0, []object.ID{0})
+	sc.g.ReadLocal(1, 0, []object.ID{1})
+	sc.broadcast(0, testPayload{ID: 1, Fp: []object.ID{0, 1}})
+	sc.broadcast(1, testPayload{ID: 2, Fp: []object.ID{0, 1}})
+	sc.broadcast(0, testPayload{ID: 3, Fp: []object.ID{0, 1, 2}, Lane: 1})
+	sc.broadcast(1, testPayload{ID: 4, Fp: []object.ID{0, 1, 2}, Lane: 1})
+	// Shard 1's log is [T_Y, T_U, T_V]: sequence V's ticket before U's.
+	l1 := sc.lanes[1]
+	for i, id := range []int{2, 3, 4} {
+		if got := l1.log[i].Payload.(Ticket).Payload.(testPayload).ID; got != id {
+			t.Fatalf("shard 1 log entry %d carries payload %d, want %d", i, got, id)
+		}
+	}
+	l1.log[1].Payload, l1.log[2].Payload = l1.log[2].Payload, l1.log[1].Payload
+	sc.broadcast(0, testPayload{ID: 5, Fp: []object.ID{0}, Lane: 2})
+	sc.broadcast(1, testPayload{ID: 6, Fp: []object.ID{1}, Lane: 2})
+	sc.broadcast(0, testPayload{ID: 7, Fp: []object.ID{2}, Lane: 3})
+	sc.run([]int{0, 1}, 7)
+	sc.broadcast(0, testPayload{ID: 8, Fp: []object.ID{3}, Lane: 2})
+	sc.broadcast(1, testPayload{ID: 9, Fp: []object.ID{4}, Lane: 2})
+	sc.broadcast(0, testPayload{ID: 10, Fp: []object.ID{5}, Lane: 3})
+	const n = 10
+	sc.run([]int{0, 1}, n)
+
+	r := issuers
+	for _, perm := range perms {
+		for _, s := range perm {
+			for sc.step(r, s) {
+			}
+		}
+		r++
+	}
+	rng := rand.New(rand.NewSource(1))
+	for ; r < procs; r++ {
+		for {
+			var open []int
+			for s, l := range sc.lanes {
+				if _, ok := l.at(sc.pos[r][s]); ok {
+					open = append(open, s)
+				}
+			}
+			if len(open) == 0 {
+				break
+			}
+			sc.step(r, open[rng.Intn(len(open))])
+		}
+	}
+	for r, ds := range sc.got {
+		if len(ds) != n {
+			t.Fatalf("replica %d emitted %d of %d operations", r, len(ds), n)
+		}
+	}
+	checkComposed(t, sc.got, shards)
+	// Lane order (0, 1, 2) reaches the trailing single on shard 0 while
+	// every cross operation there is scheduled and none has applied.
+	if st := sc.g.Stats(); st.Merged != 4 || st.Held == 0 {
+		t.Fatalf("Stats = %+v, want 4 merged and some held", st)
 	}
 }
 
@@ -361,8 +681,8 @@ func TestGroupSessionsKeepSeparateAnchors(t *testing.T) {
 		ops = append(ops, testPayload{ID: i, Fp: []object.ID{object.ID(1 + lane)}, Lane: lane})
 	}
 	checkComposed(t, issue(t, g, procs, 0, ops), shards)
-	if n := tickets(g); n != 0 {
-		t.Fatalf("%d Tickets, want 0", n)
+	if got, want := merges(g), make([]mergeMsgs, shards); !reflect.DeepEqual(got, want) {
+		t.Fatalf("merge messages per lane = %+v, want none", got)
 	}
 	reads := []struct {
 		lane int

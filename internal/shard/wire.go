@@ -5,6 +5,7 @@ import "moc/internal/wire"
 func init() {
 	wire.Register(wire.TagShardTicket, Ticket{})
 	wire.Register(wire.TagShardCommit, Commit{})
+	wire.Register(wire.TagShardClose, Close{})
 }
 
 // MarshalWire implements wire.Marshaler. The nested payload rides as an
@@ -16,6 +17,7 @@ func (m Ticket) MarshalWire(b []byte) ([]byte, error) {
 	for _, s := range m.Shards {
 		b = wire.AppendVarint(b, int64(s))
 	}
+	b = wire.AppendVarint(b, int64(m.Closer))
 	var err error
 	if b, err = wire.AppendAny(b, m.Payload); err != nil {
 		return nil, err
@@ -38,8 +40,28 @@ func (m *Ticket) UnmarshalWire(d *wire.Decoder) error {
 			m.Shards[i] = d.Int()
 		}
 	}
+	m.Closer = d.Int()
 	m.Payload = d.Any()
 	m.Bytes = d.Int()
+	return d.Err()
+}
+
+// MarshalWire implements wire.Marshaler: the ticket, then the partial
+// rank.
+func (m Close) MarshalWire(b []byte) ([]byte, error) {
+	b, err := m.Ticket.MarshalWire(b)
+	if err != nil {
+		return nil, err
+	}
+	return wire.AppendVarint(b, m.Partial), nil
+}
+
+// UnmarshalWire implements wire.Unmarshaler.
+func (m *Close) UnmarshalWire(d *wire.Decoder) error {
+	if err := m.Ticket.UnmarshalWire(d); err != nil {
+		return err
+	}
+	m.Partial = d.Varint()
 	return d.Err()
 }
 

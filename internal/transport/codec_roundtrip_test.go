@@ -35,8 +35,8 @@ var expectedKinds = []string{
 	"mlin.updatePayload", "mlin.queryMsg", "mlin.queryResp", "mlin.applyAck",
 	// Checkpoint transfer.
 	"recovery.xferReq", "recovery.xferResp",
-	// Cross-shard ticket/commit merge.
-	"shard.Ticket", "shard.Commit",
+	// Cross-shard ticket/close/commit merge.
+	"shard.Ticket", "shard.Close", "shard.Commit",
 	// Declarative procedures riding inside update payloads.
 	"mop.ReadOp", "mop.WriteOp", "mop.MultiRead", "mop.Sum",
 	"mop.MAssign", "mop.CAS", "mop.DCAS", "mop.Transfer",

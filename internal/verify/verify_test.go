@@ -415,6 +415,15 @@ func TestStreamWriterDeliversAndReconnects(t *testing.T) {
 	// The live stream holds the watermark at its own mark, so all but
 	// the tail release; close enough to assert progress.
 	waitReleased(svc, 50)
+	// The resume boundary asserted below is version 100 only if the
+	// first service acked every first-round record before it closed.
+	deadline := time.Now().Add(5 * time.Second)
+	for sent, _, _ := w.Stats(); sent < 100; sent, _, _ = w.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("first service acked %d of 100 records", sent)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 	svc.Close()
 
 	// Service restart on the same address: the writer redials, replays

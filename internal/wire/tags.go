@@ -69,9 +69,10 @@ const (
 	TagMonAck   Tag = 98
 	TagMonFin   Tag = 99
 
-	// 112–119: shard (cross-shard ticket/commit merge).
+	// 112–119: shard (cross-shard ticket/close/commit merge).
 	TagShardTicket Tag = 112
 	TagShardCommit Tag = 113
+	TagShardClose  Tag = 114
 
 	// 1000+: test-only payloads (network/testutil).
 	TagConformance Tag = 1000
