@@ -44,7 +44,8 @@ codec-gate:
 # schedules over the three-phase ticket/close/commit merge, every
 # history through the unchanged exact checker), the store-buffering
 # litmus cells (SB, SB with multi-reads, IRIW and a pipelined SB on two
-# shards, m-SC and m-lin, 60 seeds each through the exact checker),
+# shards, m-SC and m-lin, 60 seeds each through the exact checker, the
+# polynomial Verify required to agree with VerifyExact on every run),
 # plus the sharded chaos cell (one lane coordinator SIGKILLed
 # mid-campaign; the surviving shard must keep serving and the merged
 # traces must verify).

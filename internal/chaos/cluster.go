@@ -56,10 +56,10 @@ type ClusterConfig struct {
 	QueryTimeout time.Duration
 	// SlowNode, when FaultDelay > 0, starts that daemon with mocd's
 	// -faultdelay: every frame it sends to its peers carries the fixed
-	// extra latency. This is the one-slow-peer configuration E19
-	// measures the consistency levels against — an ALL query must wait
-	// out the slow daemon's response, a QUORUM query completes without
-	// it.
+	// extra latency. This is the one-slow-peer configuration
+	// TestSlowPeerLevels runs the consistency levels against — an ALL
+	// query must wait out the slow daemon's response, a QUORUM query
+	// completes without it.
 	SlowNode   int
 	FaultDelay time.Duration
 	// MonitorAddr, when set, makes every daemon stream completed

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"moc/internal/history"
 	"moc/internal/mop"
 	"moc/internal/object"
 	"moc/internal/shard"
@@ -29,7 +30,8 @@ type litmusCell struct {
 // TestShardStoreBuffering runs the litmus shapes that separate m-SC from
 // per-shard sequential consistency on a two-shard store (x and u on
 // shard 0, y and v on shard 1), 60 seeds per cell, every history
-// decided by the exact checker of the store's condition:
+// decided by the exact checker of the store's condition, and the
+// polynomial Verify required to agree with it:
 //
 //   - SB: P0 writes x and P1 writes y concurrently, then each reads the
 //     other's object;
@@ -190,7 +192,8 @@ func TestShardStoreBuffering(t *testing.T) {
 }
 
 // runLitmus runs one seed of a cell and reports whether the exact
-// checker accepts the history, with the group's counters.
+// checker accepts the history, with the group's counters. A polynomial
+// Verify verdict that differs from the exact one is an error.
 func runLitmus(c litmusCell, seed int64) (bool, shard.Stats, error) {
 	s, err := New(Config{
 		Procs: c.procs, Objects: []string{"x", "y", "u", "v"}, Consistency: c.cons,
@@ -204,17 +207,39 @@ func runLitmus(c litmusCell, seed int64) (bool, shard.Stats, error) {
 		return false, shard.Stats{}, err
 	}
 	// An m-SC read, ordered or not, is recorded as an ordinary query
-	// answered by its issuer's replica.
+	// answered by its issuer's replica. An m-lin query's merged copy is
+	// no snapshot across lanes, so its record claims only the objects it
+	// read.
 	for _, r := range s.Records() {
-		if c.cons == MSequential && !r.Update && (r.Seq != -1 || len(r.Responders) != 1 || r.Responders[0] != r.Proc%c.procs) {
+		if r.Update {
+			continue
+		}
+		if c.cons == MSequential && (r.Seq != -1 || len(r.Responders) != 1 || r.Responders[0] != r.Proc%c.procs) {
 			return false, shard.Stats{}, fmt.Errorf("query record of process %d: Seq %d, responders %v", r.Proc, r.Seq, r.Responders)
 		}
+		if c.cons == MLinearizable {
+			var read []object.ID
+			for _, op := range history.ExternalReads(r.Ops) {
+				read = append(read, op.Obj)
+			}
+			if want := object.NewSet(read...); !r.Footprint.Equal(want) {
+				return false, shard.Stats{}, fmt.Errorf("query record of process %d: footprint %v, read %v", r.Proc, r.Footprint, want)
+			}
+		}
 	}
-	res, err := s.VerifyExact()
+	exact, err := s.VerifyExact()
 	if err != nil {
 		return false, shard.Stats{}, err
 	}
-	return res.OK, s.ShardStats(), nil
+	// The polynomial check must reach the exact checker's verdict.
+	poly, err := s.Verify()
+	if err != nil {
+		return false, shard.Stats{}, err
+	}
+	if poly.OK != exact.OK {
+		return false, shard.Stats{}, fmt.Errorf("Verify = %v, VerifyExact = %v", poly.OK, exact.OK)
+	}
+	return exact.OK, s.ShardStats(), nil
 }
 
 // parallel runs f for processes 0..n-1 concurrently and returns the

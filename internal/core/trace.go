@@ -195,8 +195,20 @@ func VerifyOO(reg *object.Registry, recs []mop.Record, base history.BaseRelation
 // which precedes the writer of version v+1. The result puts the history
 // under the OO-constraint (every conflicting pair shares an object and
 // is chained through its version order).
+//
+// A record is linked as a holder of x only if it read x. Its footprint
+// can name objects it never read — a sharded m-lin query's merged copy
+// is not a consistent snapshot — and an edge on such an object orders
+// the record against a write it never observed.
 func ooSync(h *history.History, recs []mop.Record, ids []history.ID, numObjects int) *history.Relation {
 	sync := history.NewRelation(h.Len())
+	read := make([]map[object.ID]bool, len(recs))
+	for i, rec := range recs {
+		read[i] = map[object.ID]bool{}
+		for _, op := range history.ExternalReads(rec.Ops) {
+			read[i][op.Obj] = true
+		}
+	}
 	for x := 0; x < numObjects; x++ {
 		xid := object.ID(x)
 		writerOf := map[int64]history.ID{0: history.InitID}
@@ -219,7 +231,7 @@ func ooSync(h *history.History, recs []mop.Record, ids []history.ID, numObjects 
 		}
 		// Readers between consecutive writers.
 		for i, rec := range recs {
-			if !rec.Footprint.Contains(xid) {
+			if !read[i][xid] {
 				continue
 			}
 			if _, wrote := rec.VersionedWrites()[xid]; wrote {

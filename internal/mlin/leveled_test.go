@@ -7,6 +7,7 @@ package mlin_test
 // leveled checker (internal/checker) without an import cycle.
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -64,6 +65,12 @@ func mustMixedConsistent(t *testing.T, reg *object.Registry, recs []mop.Record) 
 // complete with a certified majority, fresh values, and a merged
 // history the leveled checker accepts. ALL queries after the kill can
 // only force-complete partially, and must be certified down honestly.
+//
+// This is also the simulated half of the QUORUM-vs-ALL trade: the dead
+// peer costs a QUORUM query nothing (median below one query timeout),
+// while the ALL query waits out every round of its timeout budget,
+// QueryTimeout·(1+QueryRetries). Both bounds are deterministic; the TCP
+// half, with a slow rather than a dead peer, is chaos.TestSlowPeerLevels.
 func TestQuorumCompletesWithPeerKilledMidQuery(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -76,9 +83,11 @@ func TestQuorumCompletesWithPeerKilledMidQuery(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			const (
-				procs  = 3
-				issuer = 1
-				killAt = 60 * time.Millisecond
+				procs        = 3
+				issuer       = 1
+				killAt       = 60 * time.Millisecond
+				queryTimeout = 150 * time.Millisecond
+				queryRetries = 1
 			)
 			reg := object.Sequential(4)
 			b, err := abcast.NewSequencer(abcast.SequencerConfig{
@@ -90,7 +99,7 @@ func TestQuorumCompletesWithPeerKilledMidQuery(t *testing.T) {
 			p, err := mlin.New(mlin.Config{
 				Procs: procs, Reg: reg, Broadcast: b,
 				Seed: 7, MaxDelay: 2 * time.Millisecond,
-				QueryTimeout: 150 * time.Millisecond, QueryRetries: 1,
+				QueryTimeout: queryTimeout, QueryRetries: queryRetries,
 				Faults: &network.Faults{Crashes: []network.Crash{{Proc: tc.victim, At: killAt}}},
 			})
 			if err != nil {
@@ -132,10 +141,13 @@ func TestQuorumCompletesWithPeerKilledMidQuery(t *testing.T) {
 			}
 
 			// QUORUM queries straddling the kill: before, during, after.
+			var quorumLat []time.Duration
 			start := time.Now()
 			for i := 0; time.Since(start) < killAt*2; i++ {
+				qStart := time.Now()
 				rec, err := p.Exec(issuer, mop.MultiRead{Xs: []object.ID{0, 1, 2, 3}},
 					mop.ExecOptions{Level: history.LevelQuorum})
+				quorumLat = append(quorumLat, time.Since(qStart))
 				if err != nil {
 					t.Fatalf("quorum query %d: %v", i, err)
 				}
@@ -155,13 +167,24 @@ func TestQuorumCompletesWithPeerKilledMidQuery(t *testing.T) {
 				log.add(rec)
 				time.Sleep(5 * time.Millisecond)
 			}
+			slices.Sort(quorumLat)
+			if med := quorumLat[len(quorumLat)/2]; med >= queryTimeout {
+				t.Fatalf("quorum median %v over %d queries is not below the %v query timeout: the dead peer held quorum queries up",
+					med, len(quorumLat), queryTimeout)
+			}
 
 			// After the kill an ALL query cannot gather every process: it
 			// force-completes at the timeout and must certify itself down
 			// to the majority it actually got.
+			allStart := time.Now()
 			rec, err := p.Exec(issuer, mop.ReadOp{X: 0}, mop.ExecOptions{Level: history.LevelAll})
+			allLat := time.Since(allStart)
 			if err != nil {
 				t.Fatalf("all query after kill: %v", err)
+			}
+			if budget := queryTimeout * (1 + queryRetries); allLat < budget {
+				t.Fatalf("all query after kill took %v, under its %v timeout budget: it cannot have waited for the dead peer",
+					allLat, budget)
 			}
 			if rec.Level != history.LevelQuorum || rec.IsConsistent {
 				t.Fatalf("all query after kill certified (%s, %v), want (quorum, false)",

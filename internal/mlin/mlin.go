@@ -795,10 +795,13 @@ func (p *Protocol) respond(proc int, qs *queryState) {
 		qs.done(mop.Record{}, err)
 		return
 	}
-	// The merged copy is a consistent full snapshot in whole-copy mode;
-	// in relevant-only mode only the footprint's entries are meaningful.
+	// The merged copy is a consistent full snapshot in whole-copy mode on
+	// one lane. In relevant-only mode only the footprint's entries are
+	// meaningful, and on a sharded store (toucher set) the copy merges
+	// each object's freshest version from lanes whose prefixes need not
+	// be comparable, so it is no snapshot beyond the objects read.
 	fp := object.FullSet(p.cfg.Reg.Len())
-	if p.cfg.RelevantOnly {
+	if p.cfg.RelevantOnly || p.toucher != nil {
 		fp = qs.pr.Footprint()
 	}
 	qs.done(mop.Record{
