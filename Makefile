@@ -39,18 +39,20 @@ codec-gate:
 # shard-smoke = the sharding acceptance checks, race-instrumented: the
 # shard.Group unit tests (exact ticket/close/commit message counts per
 # lane, replicas fed the same lane streams in different cross-lane
-# interleavings, no hold-back at the issuer), the randomized
-# cross-shard interleaving test in short mode (seeded adversarial
-# schedules over the three-phase ticket/close/commit merge, every
-# history through the unchanged exact checker), the store-buffering
-# litmus cells (SB, SB with multi-reads, IRIW and a pipelined SB on two
-# shards, m-SC and m-lin, 60 seeds each through the exact checker, the
-# polynomial Verify required to agree with VerifyExact on every run),
-# plus the sharded chaos cell (one lane coordinator SIGKILLed
-# mid-campaign; the surviving shard must keep serving and the merged
-# traces must verify).
+# interleavings, no hold-back at the issuer) and the per-replica
+# schedule tests (every interleaving of fixed lane logs gives the same
+# lane schedules, and only the issuer returns its Close and Commit),
+# the randomized cross-shard interleaving test in short mode (seeded
+# adversarial schedules over the three-phase ticket/close/commit merge,
+# every history through the unchanged exact checker), the
+# store-buffering litmus cells (SB, SB with multi-reads, IRIW and a
+# pipelined SB on two shards, m-SC and m-lin, 60 seeds each through the
+# exact checker, the polynomial Verify required to agree with
+# VerifyExact on every run), plus the sharded chaos cell (one lane
+# coordinator SIGKILLed mid-campaign; the surviving shard must keep
+# serving and the merged traces must verify).
 shard-smoke:
-	$(GO) test ./internal/shard/ -race -run 'TestGroup' -count=1
+	$(GO) test ./internal/shard/ -race -run 'TestGroup|TestSchedule' -count=1
 	$(GO) test ./internal/core/ -race -short -run 'TestShardInterleaving|TestShardStoreBuffering' -count=1 -v
 	$(GO) test ./internal/chaos/ -race -run TestChaosShardedLaneKill -count=1 -v
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"moc/internal/abcast"
 	"moc/internal/network"
@@ -62,12 +61,12 @@ type GroupConfig struct {
 //     operation is emitted when it heads every involved lane's schedule
 //     at this replica. Single-shard operations arriving behind a
 //     scheduled-but-unapplied operation are held in that lane's queue
-//     and flushed when it applies; a pump never blocks, so commits
-//     queued behind a barrier are always processed — parking the lane
-//     instead is a deadlock (two cross operations sharing two lanes,
-//     with their Commits arriving in opposite orders on the two lanes,
-//     would park each lane at a different op and neither commit that
-//     resolves the ranks would ever be drained).
+//     and flushed when it applies; the schedule never parks a lane, so
+//     commits queued behind a barrier are always processed — parking a
+//     lane is a deadlock (two cross operations sharing two lanes, with
+//     their Commits arriving in opposite orders on the two lanes, would
+//     park each lane at a different op and neither commit that resolves
+//     the ranks would ever be drained).
 //
 //   - Process order across lanes is preserved by session anchoring. A
 //     session is one issuing lane of a process, recorded as process
@@ -105,7 +104,6 @@ type Group struct {
 	anchMu  sync.Mutex
 	anchors map[int]anchor // per session: from + lane·procs
 	stats   Stats          // under anchMu
-	held    atomic.Int64   // Stats.Held; pumps count under a replica lock
 
 	idMu   sync.Mutex
 	nextID int64
@@ -113,6 +111,12 @@ type Group struct {
 	stop      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
+}
+
+// replica is one process's schedule and the lock its K pumps share.
+type replica struct {
+	mu sync.Mutex
+	*schedule
 }
 
 // anchor is one session's routing state.
@@ -173,34 +177,6 @@ type Commit struct {
 	Final int64
 }
 
-// crossOp is one in-flight cross-shard operation at one replica.
-type crossOp struct {
-	Ticket // the operation, from its first Ticket or Close here
-
-	lts       map[int]int64 // per-lane local ticket clock values
-	final     int64         // rank from Close or Commit; valid once committed in any lane
-	committed map[int]bool  // lanes whose Close or Commit this replica has processed
-}
-
-// schedEntry is one slot of a lane's schedule: either a cross operation
-// whose lane rank is fixed (co != nil) or a held-back single-shard
-// delivery that arrived behind one (single).
-type schedEntry struct {
-	co     *crossOp
-	single abcast.Delivery
-}
-
-// replica is one process's merge state across all lanes.
-type replica struct {
-	mu sync.Mutex
-
-	tclock   []int64 // per-shard ticket clocks (Skeen phase 1)
-	seqClock []int64 // per-shard apply clocks (composite Seq)
-	cross    map[int64]*crossOp
-	pend     [][]*crossOp   // per shard: ticketed, rank not yet fixed
-	sched    [][]schedEntry // per shard: scheduled, not yet emitted (FIFO)
-}
-
 // NewGroup builds the composed broadcaster over cfg.Lanes and starts
 // one pump goroutine per (replica, lane).
 func NewGroup(cfg GroupConfig) (*Group, error) {
@@ -225,13 +201,7 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 	}
 	for p := 0; p < cfg.Procs; p++ {
 		g.outs[p] = make(chan abcast.Delivery, 1024)
-		g.reps[p] = &replica{
-			tclock:   make([]int64, k),
-			seqClock: make([]int64, k),
-			cross:    make(map[int64]*crossOp),
-			pend:     make([][]*crossOp, k),
-			sched:    make([][]schedEntry, k),
-		}
+		g.reps[p] = &replica{schedule: newSchedule(p, k)}
 	}
 	for p := 0; p < cfg.Procs; p++ {
 		for s := 0; s < k; s++ {
@@ -361,7 +331,11 @@ func (g *Group) Stats() Stats {
 	g.anchMu.Lock()
 	st := g.stats
 	g.anchMu.Unlock()
-	st.Held = g.held.Load()
+	for _, rep := range g.reps {
+		rep.mu.Lock()
+		st.Held += rep.held
+		rep.mu.Unlock()
+	}
 	return st
 }
 
@@ -415,9 +389,13 @@ func (g *Group) Close() {
 	})
 }
 
-// pump drains lane s's deliveries for replica r into the merge.
+// pump drives lane s's deliveries through replica r's schedule. Each
+// outbound message gets its own send, as a lane Broadcast can block on a
+// full transport queue; the emit stays under the lock, so the K pumps of
+// a replica cannot reorder it, and waits on the consumer's channel.
 func (g *Group) pump(r, s int) {
 	defer g.wg.Done()
+	rep := g.reps[r]
 	ch := g.lanes[s].Deliveries(r)
 	for {
 		select {
@@ -427,250 +405,31 @@ func (g *Group) pump(r, s int) {
 			if !ok {
 				return
 			}
-			g.deliver(r, s, d)
-		}
-	}
-}
-
-// deliver merges lane s's next delivery d into replica r's state.
-func (g *Group) deliver(r, s int, d abcast.Delivery) {
-	st := g.reps[r]
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	switch m := d.Payload.(type) {
-	case Ticket:
-		co := st.ensure(m)
-		st.tclock[s]++
-		co.lts[s] = st.tclock[s]
-		st.pend[s] = append(st.pend[s], co)
-		if r == co.From && len(co.lts) == len(co.Shards)-1 {
-			// This replica is the issuer's and has now ranked the op on
-			// every lane but the closing one: send it there with the
-			// partial rank. Broadcast outside the mutex (lane submission
-			// may block).
-			c := Close{Ticket: co.Ticket}
-			for _, t := range co.lts {
-				c.Partial = max(c.Partial, t)
+			rep.mu.Lock()
+			emit, out := rep.Deliver(s, d)
+			for _, o := range out {
+				g.wg.Add(1)
+				go g.send(r, o)
 			}
-			g.wg.Add(1)
-			go g.send(co.From, []int{co.Closer}, c, co.Bytes+ticketOverhead(len(co.Shards))+closeBytes)
-		}
-	case Close:
-		// The closing lane's only message for this op: stamp it and
-		// commit it here at once.
-		co := st.ensure(m.Ticket)
-		st.tclock[s]++
-		st.commitLocked(s, co, max(m.Partial, st.tclock[s]))
-		st.pend[s] = append(st.pend[s], co)
-		if r == co.From {
-			g.wg.Add(1)
-			go g.send(co.From, co.own(), Commit{ID: co.ID, Final: co.final}, commitBytes)
-		}
-	case Commit:
-		st.commitLocked(s, st.cross[m.ID], m.Final)
-	default:
-		// Single-shard operation. If nothing is scheduled ahead of it
-		// in this lane, it emits at the lane's next apply slot; behind
-		// a scheduled-but-unapplied cross operation it is held back —
-		// the cross op's lane rank is already fixed, so the single is
-		// ordered after it at every replica.
-		if len(st.sched[s]) == 0 {
-			st.seqClock[s]++
-			g.emitLocked(st, r, abcast.Delivery{
-				Seq:     st.seqClock[s]*int64(g.m.shards) + int64(s),
-				From:    d.From,
-				Payload: d.Payload,
-				Shards:  []int{s},
-			})
-		} else {
-			st.sched[s] = append(st.sched[s], schedEntry{single: d})
-			g.held.Add(1)
-		}
-	}
-	st.scheduleLocked(s)
-	g.advanceLocked(st, r)
-}
-
-// commitLocked fixes co's final rank in lane s. Lamport-style clock
-// merge: later tickets in this lane must rank above every committed
-// final, or a new ticket could slot under an already-committed op.
-func (st *replica) commitLocked(s int, co *crossOp, final int64) {
-	co.final = final
-	co.committed[s] = true
-	st.tclock[s] = max(st.tclock[s], final)
-}
-
-// scheduleLocked moves shard s's eligible cross operations from pending
-// to the lane schedule, in rank order: an op is eligible once its Commit
-// has arrived in this lane AND no other pending ticket could still rank
-// below it (Skeen's hold-back — an uncommitted ticket's final rank is
-// at least its local stamp, so only a committed op that is minimal under
-// (rank, id) over the whole pending set has its lane position fixed).
-// Both the stamps and the commit arrivals are functions of lane s's own
-// delivery prefix, so every replica schedules the lane identically; and
-// because a ticket arriving after a Commit is stamped above its final
-// rank, the per-lane schedule order of cross ops is ascending
-// (final, id) — one global order shared by all lanes.
-func (st *replica) scheduleLocked(s int) {
-	for {
-		co := st.minPending(s)
-		if co == nil || !co.committed[s] {
-			return
-		}
-		st.pend[s] = removeOp(st.pend[s], co)
-		st.sched[s] = append(st.sched[s], schedEntry{co: co})
-	}
-}
-
-// minPending returns the minimum-(rank, id) pending cross op of shard s,
-// or nil. The rank of an op in lane s is final once s's Commit arrived
-// and the local ticket stamp before.
-func (st *replica) minPending(s int) *crossOp {
-	var best *crossOp
-	var bestRank, bestID int64
-	for _, co := range st.pend[s] {
-		rank, id := st.rank(s, co)
-		if best == nil || rank < bestRank || (rank == bestRank && id < bestID) {
-			best, bestRank, bestID = co, rank, id
-		}
-	}
-	return best
-}
-
-func (st *replica) rank(s int, co *crossOp) (int64, int64) {
-	if co.committed[s] {
-		return co.final, co.ID
-	}
-	return co.lts[s], co.ID
-}
-
-// advanceLocked drains every lane schedule as far as it will go: held
-// singles at a lane's front emit immediately, and a cross operation
-// emits the moment it heads the schedule of every lane it involves.
-// Lane schedules agree on the relative order of cross operations (one
-// ascending (final, id) order), so the barrier can never cycle; the
-// globally minimal unapplied cross op always eventually clears. The
-// scan restarts after any progress because an apply pops entries from
-// several lanes at once.
-func (g *Group) advanceLocked(st *replica, r int) {
-	for progress := true; progress; {
-		progress = false
-		for s := range st.sched {
-			for len(st.sched[s]) > 0 {
-				e := st.sched[s][0]
-				if e.co == nil {
-					st.sched[s] = st.sched[s][1:]
-					st.seqClock[s]++
-					g.emitLocked(st, r, abcast.Delivery{
-						Seq:     st.seqClock[s]*int64(g.m.shards) + int64(s),
-						From:    e.single.From,
-						Payload: e.single.Payload,
-						Shards:  []int{s},
-					})
-					progress = true
-					continue
+			for _, e := range emit {
+				select {
+				case g.outs[r] <- e:
+				case <-g.stop:
 				}
-				if !st.headsAllLanes(e.co) {
-					break
-				}
-				g.applyCrossLocked(st, r, e.co)
-				progress = true
 			}
+			rep.mu.Unlock()
 		}
 	}
 }
 
-// headsAllLanes reports whether co is at the front of every involved
-// lane's schedule at this replica.
-func (st *replica) headsAllLanes(co *crossOp) bool {
-	for _, u := range co.Shards {
-		if len(st.sched[u]) == 0 || st.sched[u][0].co != co {
-			return false
-		}
-	}
-	return true
-}
-
-// applyCrossLocked emits co as one merged delivery and pops it from the
-// front of every involved shard's schedule. The composite apply clock
-// is max over the involved shards plus one, written back to each, so
-// the emitted Seq is strictly above everything already applied in any
-// involved shard. Eligibility required co's Close on the closing lane
-// and its Ticket and Commit on every other involved lane, so no further
-// messages for this id can arrive and the map entry is dropped.
-func (g *Group) applyCrossLocked(st *replica, r int, co *crossOp) {
-	var a int64
-	for _, u := range co.Shards {
-		if st.seqClock[u] > a {
-			a = st.seqClock[u]
-		}
-	}
-	a++
-	for _, u := range co.Shards {
-		st.seqClock[u] = a
-		st.sched[u] = st.sched[u][1:]
-	}
-	delete(st.cross, co.ID)
-	g.emitLocked(st, r, abcast.Delivery{
-		Seq:     a*int64(g.m.shards) + int64(co.Shards[0]),
-		From:    co.From,
-		Payload: co.Payload,
-		Shards:  append([]int(nil), co.Shards...),
-	})
-}
-
-func (g *Group) emitLocked(st *replica, r int, d abcast.Delivery) {
-	select {
-	case g.outs[r] <- d:
-	case <-g.stop:
-	}
-}
-
-// send broadcasts one merge message from the issuer on each of lanes.
-func (g *Group) send(from int, lanes []int, m any, bytes int) {
+// send broadcasts merge message o from the issuer on each of its lanes.
+func (g *Group) send(from int, o outbound) {
 	defer g.wg.Done()
-	for _, s := range lanes {
-		if err := g.lanes[s].Broadcast(from, m, bytes); err != nil {
+	for _, s := range o.lanes {
+		if err := g.lanes[s].Broadcast(from, o.msg, o.bytes); err != nil {
 			return
 		}
 	}
-}
-
-// ensure returns the state of t's operation, created on its first
-// Ticket or Close at this replica.
-func (st *replica) ensure(t Ticket) *crossOp {
-	co, ok := st.cross[t.ID]
-	if !ok {
-		co = &crossOp{
-			Ticket:    t,
-			final:     -1,
-			lts:       make(map[int]int64),
-			committed: make(map[int]bool),
-		}
-		st.cross[t.ID] = co
-	}
-	return co
-}
-
-// own returns co's involved lanes other than the closing one: those
-// that carry its Ticket and its Commit.
-func (co *crossOp) own() []int {
-	lanes := make([]int, 0, len(co.Shards)-1)
-	for _, s := range co.Shards {
-		if s != co.Closer {
-			lanes = append(lanes, s)
-		}
-	}
-	return lanes
-}
-
-func removeOp(pend []*crossOp, co *crossOp) []*crossOp {
-	for i, c := range pend {
-		if c == co {
-			return append(pend[:i], pend[i+1:]...)
-		}
-	}
-	return pend
 }
 
 // disjoint reports whether two sorted int slices share no element.

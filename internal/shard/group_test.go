@@ -473,8 +473,8 @@ func TestGroupIssuerHoldsNothingBehindClose(t *testing.T) {
 }
 
 // logLane sequences broadcasts into a log and delivers none of them: a
-// test feeds the log to each replica through Group.deliver, in a
-// cross-lane interleaving of its choosing.
+// test feeds the log to each replica's schedule, in a cross-lane
+// interleaving of its choosing.
 type logLane struct {
 	mu  sync.Mutex
 	log []abcast.Delivery
@@ -533,31 +533,32 @@ func newScripted(t *testing.T, procs, objects, shards int) *scripted {
 	return sc
 }
 
-// step delivers lane s's next sequenced message to replica r and
-// reports whether there was one.
+// step delivers lane s's next sequenced message to replica r's
+// schedule, sequences the Close or Commit it returns on their lanes at
+// once, and reports whether there was a message.
 func (sc *scripted) step(r, s int) bool {
 	d, ok := sc.lanes[s].at(sc.pos[r][s])
 	if !ok {
 		return false
 	}
 	sc.pos[r][s]++
-	sc.g.deliver(r, s, d)
-	for {
-		select {
-		case d := <-sc.g.Deliveries(r):
-			sc.got[r] = append(sc.got[r], d)
-		default:
-			return true
+	emit, out := sc.g.reps[r].Deliver(s, d)
+	sc.got[r] = append(sc.got[r], emit...)
+	for _, o := range out {
+		for _, l := range o.lanes {
+			if err := sc.lanes[l].Broadcast(r, o.msg, o.bytes); err != nil {
+				sc.t.Fatal(err)
+			}
 		}
 	}
+	return true
 }
 
 // run steps replicas rs one message per lane in turn until each has
-// emitted n deliveries. It waits when the logs run dry: the issuer's
-// Close and Commit broadcasts run on their own goroutines.
+// emitted n deliveries. A pass that finds every log drained first is a
+// stall: the issuer's Close and Commit are sequenced as it steps.
 func (sc *scripted) run(rs []int, n int) {
 	sc.t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
 	for {
 		done, progress := true, false
 		for _, r := range rs {
@@ -570,10 +571,7 @@ func (sc *scripted) run(rs []int, n int) {
 			return
 		}
 		if !progress {
-			if time.Now().After(deadline) {
-				sc.t.Fatalf("replicas %v stalled", rs)
-			}
-			time.Sleep(time.Millisecond)
+			sc.t.Fatalf("replicas %v stalled", rs)
 		}
 	}
 }
