@@ -26,20 +26,26 @@ race:
 # (its local read, its strong query and its update, under m-SC and
 # m-lin), plus mocrpc's binary exec frames: the FuzzExecFrame seed
 # corpus (every kind and level, hostile counts, every truncation) and
-# the allocation ceiling of the server's framed exec loop. The race
-# detector disables sync.Pool reuse, which charges the pooled frame
-# buffer to every encode, so the zero-allocs assertions only hold
-# without -race — hence the separate invocation.
+# the allocation ceiling of the server's framed exec loop; the shard
+# schedule's zero-allocation single-shard delivery; and MAssign's
+# allocation counts on its apply and encode paths, with its pinned wire
+# bytes. The race detector disables sync.Pool reuse, which charges the
+# pooled frame buffer to every encode, and instruments allocations, so
+# the allocation assertions only hold without -race — hence the
+# separate invocation.
 codec-gate:
 	$(GO) test ./internal/transport/ -run 'FuzzReadFrame|TestSendPathZeroAllocs' -count=1
 	$(GO) test ./internal/mocrpc/ -run 'FuzzExecFrame|TestRPCExecAllocs' -count=1
 	$(GO) test ./internal/core/ -run TestExecAllocationCeiling -count=1
-	$(GO) test ./internal/shard/ -run FuzzRouting -count=1
+	$(GO) test ./internal/shard/ -run 'FuzzRouting|TestScheduleDeliverAllocs' -count=1
+	$(GO) test ./internal/mop/ -run TestMAssignAllocs -count=1
 
 # shard-smoke = the sharding acceptance checks, race-instrumented: the
 # shard.Group unit tests (exact ticket/close/commit message counts per
 # lane, replicas fed the same lane streams in different cross-lane
-# interleavings, no hold-back at the issuer) and the per-replica
+# interleavings, no hold-back at the issuer, and the delivery callbacks:
+# Subscribe starts no goroutine, and a replica's lane callbacks, each on
+# its lane's own goroutine, never overlap) and the per-replica
 # schedule tests (every interleaving of fixed lane logs gives the same
 # lane schedules, and only the issuer returns its Close and Commit),
 # the randomized cross-shard interleaving test in short mode (seeded
@@ -75,9 +81,11 @@ monitor-smoke:
 # batcher-loop = the Batcher's tests, and the crash-free conformance
 # tests of the three orderers under it, twenty times over under the race
 # detector. The Batcher's flush policy is clocked by its own deliveries,
-# and an orderer's delivery order by its message interleaving, so what
-# they do depends on how goroutines interleave; one pass samples one
-# interleaving, and a load-dependent failure shows only in a loop.
+# which its callback counts back in on the inner orderer's member loop
+# while submitters and the flusher race it, and an orderer's delivery
+# order by its message interleaving, so what they do depends on how
+# goroutines interleave; one pass samples one interleaving, and a
+# load-dependent failure shows only in a loop.
 batcher-loop:
 	$(GO) test -race -count=20 -run 'Batcher|^Test(Sequencer|Lamport|Token)(Conformance|ConformanceNoDelay|SingleProcess)$$' ./internal/abcast/
 

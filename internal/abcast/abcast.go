@@ -25,10 +25,19 @@
 // All three satisfy Broadcaster and the shared conformance suite: every
 // broadcast is delivered exactly once at every process, in one global
 // total order, gap-free.
+//
+// Delivery is by callback: each protocol's member loop calls process
+// p's one subscriber inline, in delivery order, so nothing queues
+// between the total order and §5's A2 apply. A callback runs on the
+// broadcaster's own goroutine, so it must never wait on that
+// broadcaster's progress; a slow one holds up p's member loop and,
+// behind it, p's transport inbox.
 package abcast
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 
 	"moc/internal/network"
 )
@@ -47,7 +56,8 @@ type Delivery struct {
 	// single-lane broadcasters. A sharded Seq is composite (apply-clock ×
 	// shard count + shard) — globally unique and per-shard monotone, but
 	// not gap-free per process, so consumers must not treat a smaller Seq
-	// as already-applied.
+	// as already-applied. The slice may be shared with other deliveries:
+	// consumers must not modify it.
 	Shards []int
 }
 
@@ -58,9 +68,11 @@ type Broadcaster interface {
 	// delivery at every process (including the sender). bytes is the
 	// accounted wire size of the payload.
 	Broadcast(from int, payload any, bytes int) error
-	// Deliveries returns process p's delivery stream, in global total
-	// order.
-	Deliveries(p int) <-chan Delivery
+	// Subscribe sets fn, before p's first Broadcast, as process p's one
+	// subscriber: it gets p's deliveries in global total order, one call
+	// at a time (see the package comment). Deliveries that came before
+	// Subscribe are handed to fn first, in order.
+	Subscribe(p int, fn func(Delivery))
 	// MessageCost returns (messages, bytes) of network traffic incurred
 	// so far, for the experiment harness.
 	MessageCost() (int64, int64)
@@ -112,6 +124,18 @@ func (b *deliveryBuffer) fastForward(next int64) []Delivery {
 		}
 	}
 	b.next = next
+	return b.ready()
+}
+
+// add inserts d and returns every delivery that is now ready in order.
+func (b *deliveryBuffer) add(d Delivery) []Delivery {
+	b.pending[d.Seq] = d
+	return b.ready()
+}
+
+// ready removes and returns the gap-free run of held deliveries from
+// next on.
+func (b *deliveryBuffer) ready() []Delivery {
 	var ready []Delivery
 	for {
 		d, ok := b.pending[b.next]
@@ -124,17 +148,102 @@ func (b *deliveryBuffer) fastForward(next int64) []Delivery {
 	}
 }
 
-// add inserts d and returns every delivery that is now ready in order.
-func (b *deliveryBuffer) add(d Delivery) []Delivery {
-	b.pending[d.Seq] = d
-	var ready []Delivery
-	for {
-		d, ok := b.pending[b.next]
-		if !ok {
-			return ready
+// Subscribers holds one subscriber per process for a broadcaster's
+// member loops. Deliver calls p's subscriber inline; deliveries that
+// come before it are held, and Subscribe replays them in order, on its
+// caller and outside the lock, before it installs the subscriber.
+type Subscribers []subscriber
+
+type subscriber struct {
+	mu   sync.Mutex
+	fn   func(Delivery) // installed once nothing is held
+	held []Delivery
+	set  bool
+}
+
+// NewSubscribers returns an empty table for processes 0..n-1.
+func NewSubscribers(n int) Subscribers { return make(Subscribers, n) }
+
+// Subscribe implements Broadcaster.Subscribe. A second subscriber for p
+// is a bug in the caller, and panics.
+func (t Subscribers) Subscribe(p int, fn func(Delivery)) {
+	sub := &t[p]
+	sub.mu.Lock()
+	if sub.set {
+		sub.mu.Unlock()
+		panic(fmt.Sprintf("abcast: process %d subscribed twice", p))
+	}
+	sub.set = true
+	for len(sub.held) > 0 {
+		held := sub.held
+		sub.held = nil
+		sub.mu.Unlock()
+		for _, d := range held {
+			fn(d)
 		}
-		delete(b.pending, b.next)
-		ready = append(ready, d)
-		b.next++
+		sub.mu.Lock()
+	}
+	sub.fn = fn
+	sub.mu.Unlock()
+}
+
+// Deliver hands ds, in order, to p's subscriber, or holds them until
+// there is one. Only p's member loop calls it.
+func (t Subscribers) Deliver(p int, ds ...Delivery) {
+	sub := &t[p]
+	sub.mu.Lock()
+	fn := sub.fn
+	if fn == nil {
+		sub.held = append(sub.held, ds...)
+	}
+	sub.mu.Unlock()
+	for i := 0; fn != nil && i < len(ds); i++ {
+		fn(ds[i])
 	}
 }
+
+// Streams adapts Subscribe to channels for every broadcaster's
+// Deliveries: p's first Get subscribes a forwarder into a channel of
+// 1024 slots, so its reader may fall that far behind before the member
+// loop waits for room (until stop); later Gets return the same channel.
+type Streams struct {
+	mu  sync.Mutex
+	chs map[int]chan Delivery
+}
+
+// Get returns p's delivery channel, subscribing on first use.
+func (s *Streams) Get(p int, subscribe func(int, func(Delivery)), stop <-chan struct{}) <-chan Delivery {
+	s.mu.Lock()
+	ch, ok := s.chs[p]
+	if !ok {
+		if s.chs == nil {
+			s.chs = make(map[int]chan Delivery)
+		}
+		ch = make(chan Delivery, 1024)
+		s.chs[p] = ch
+	}
+	s.mu.Unlock()
+	if !ok {
+		subscribe(p, func(d Delivery) {
+			select {
+			case ch <- d:
+			case <-stop:
+			}
+		})
+	}
+	return ch
+}
+
+// members is the delivery side the three orderers share: member loop p
+// hands its deliveries to subs, and stop ends the loops.
+type members struct {
+	subs    Subscribers
+	streams Streams
+	stop    chan struct{}
+}
+
+// Subscribe implements Broadcaster.
+func (m *members) Subscribe(p int, fn func(Delivery)) { m.subs.Subscribe(p, fn) }
+
+// Deliveries returns p's delivery stream as a channel (see Streams).
+func (m *members) Deliveries(p int) <-chan Delivery { return m.streams.Get(p, m.Subscribe, m.stop) }

@@ -9,13 +9,30 @@ import (
 	"moc/internal/network/testutil"
 )
 
+// streamed is a Broadcaster with the Deliveries channel adapter, as
+// every broadcaster in this package has.
+type streamed interface {
+	Broadcaster
+	Deliveries(p int) <-chan Delivery
+}
+
 // runConformance drives any Broadcaster through the atomic-broadcast
 // contract: with `procs` processes each broadcasting `perProc` payloads
 // concurrently, every process must deliver all procs*perProc payloads,
-// exactly once, gap-free, and in the same total order.
-func runConformance(t *testing.T, b Broadcaster, procs, perProc int) {
+// exactly once, gap-free, and in the same total order. Even processes
+// take their deliveries through Subscribe, set before the first
+// broadcast; odd ones through Deliveries, asked for only after the
+// last, so their early deliveries are held and replayed.
+func runConformance(t *testing.T, b streamed, procs, perProc int) {
 	t.Helper()
 	total := procs * perProc
+
+	orders := make([][]Delivery, procs)
+	subscribed := make([]*collector, procs)
+	for p := 0; p < procs; p += 2 {
+		subscribed[p] = newCollector(total)
+		b.Subscribe(p, subscribed[p].add)
+	}
 
 	var wg sync.WaitGroup
 	for p := 0; p < procs; p++ {
@@ -33,14 +50,17 @@ func runConformance(t *testing.T, b Broadcaster, procs, perProc int) {
 	}
 	wg.Wait()
 
-	orders := make([][]Delivery, procs)
 	var collect sync.WaitGroup
 	for p := 0; p < procs; p++ {
 		collect.Add(1)
 		go func(p int) {
 			defer collect.Done()
-			orders[p] = testutil.Drain(t, 30*time.Second, b.Deliveries(p), total,
-				testutil.Source(fmt.Sprintf("proc %d transport", p), b.NetStats))
+			src := testutil.Source(fmt.Sprintf("proc %d transport", p), b.NetStats)
+			if c := subscribed[p]; c != nil {
+				orders[p] = c.wait(t, 30*time.Second, src)
+				return
+			}
+			orders[p] = testutil.Drain(t, 30*time.Second, b.Deliveries(p), total, src)
 		}(p)
 	}
 	collect.Wait()
@@ -240,4 +260,88 @@ func TestTokenValidation(t *testing.T) {
 		t.Errorf("after close: err = %v, want ErrClosed", err)
 	}
 	b.Close() // idempotent
+}
+
+// collector is a subscriber that records a process's deliveries until
+// it has want of them.
+type collector struct {
+	mu   sync.Mutex
+	got  []Delivery
+	want int
+	full chan struct{}
+}
+
+func newCollector(want int) *collector {
+	return &collector{want: want, full: make(chan struct{})}
+}
+
+func (c *collector) add(d Delivery) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.got = append(c.got, d)
+	if len(c.got) == c.want {
+		close(c.full)
+	}
+}
+
+// wait returns the deliveries once there are want of them, failing t
+// (via Errorf) and dumping the sources after timeout.
+func (c *collector) wait(t *testing.T, timeout time.Duration, sources ...testutil.StatsSource) []Delivery {
+	t.Helper()
+	select {
+	case <-c.full:
+	case <-time.After(timeout):
+		c.mu.Lock()
+		t.Errorf("timed out after %v with %d/%d deliveries", timeout, len(c.got), c.want)
+		c.mu.Unlock()
+		testutil.DumpStats(t, sources...)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]Delivery(nil), c.got...)
+}
+
+// A delivery that reaches a process before its subscriber is held, and
+// Subscribe replays it in order ahead of every later one, while the
+// member loop keeps delivering. The callbacks never overlap: the plain
+// counter below is written by both the replay and the member loop,
+// which the race detector would report if they ran at once.
+func TestSubscribeReplaysHeldDeliveries(t *testing.T) {
+	const early, late = 50, 500
+	for round := 0; round < 20; round++ {
+		subs := NewSubscribers(2)
+		for i := 0; i < early; i++ {
+			subs.Deliver(0, Delivery{Seq: int64(i)})
+		}
+		loop := make(chan struct{})
+		go func() { // process 0's member loop
+			defer close(loop)
+			for i := early; i < early+late; i++ {
+				subs.Deliver(0, Delivery{Seq: int64(i)})
+			}
+		}()
+		var next int64
+		subs.Subscribe(0, func(d Delivery) {
+			if d.Seq != next {
+				t.Errorf("round %d: delivery %d arrived as number %d", round, d.Seq, next)
+			}
+			next++
+		})
+		<-loop
+		if next != early+late {
+			t.Fatalf("round %d: %d of %d deliveries", round, next, early+late)
+		}
+	}
+}
+
+// A second subscriber for one process is a bug in the caller.
+func TestSubscribeTwicePanics(t *testing.T) {
+	subs := NewSubscribers(1)
+	subs.Subscribe(0, func(Delivery) {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Subscribe did not panic")
+		}
+	}()
+	subs.Subscribe(0, func(Delivery) {})
 }

@@ -33,9 +33,9 @@ type BatchMsg struct {
 // per batch (a full batch flushes immediately). Window is the longest a
 // queued update waits: the Batcher clocks itself off its own deliveries
 // (see Batcher), so the window only expires when such a delivery never
-// arrives — the issuer crashed, or nobody reads its delivery stream.
-// Size <= 1 with Window <= 0 means no batching — callers should skip
-// the Batcher entirely in that case (core does).
+// arrives — the issuer crashed, or nobody subscribed to its delivery
+// stream. Size <= 1 with Window <= 0 means no batching — callers should
+// skip the Batcher entirely in that case (core does).
 type BatchConfig struct {
 	Window time.Duration
 	Size   int
@@ -54,10 +54,10 @@ const defaultBatchWindow = 200 * time.Microsecond
 // Size of them have queued. Batch size therefore follows arrival rate ×
 // round time — 1 when idle, toward Size under load — with no timer on
 // the common path; Window only bounds the wait when the own delivery is
-// lost. Each process's delivery stream is renumbered so the expanded
-// items are contiguous and gap-free. The renumbering is a deterministic
-// function of the inner total order, so every process derives the same
-// expanded order — the Batcher is itself a conforming Broadcaster.
+// lost. Each process's stream is expanded and renumbered on the inner
+// member loop, so the items are contiguous and gap-free. That is a
+// deterministic function of the inner total order, so every process
+// derives the same order — the Batcher is itself a conforming Broadcaster.
 type Batcher struct {
 	inner Broadcaster
 	cfg   BatchConfig
@@ -68,16 +68,15 @@ type Batcher struct {
 	armed  bool
 	closed bool
 
-	// inflight counts this Batcher's flushes that their issuer's expander
-	// has not yet seen come back. Flushes raise it under mu; expanders
+	// inflight counts this Batcher's flushes not yet back in their
+	// issuer's delivery stream. Flushes raise it under mu; deliveries
 	// lower it without the lock, so a delivery never waits on a flush.
 	inflight atomic.Int64
 	// kick wakes the flusher: inflight dropped to zero, or a Broadcast
 	// found it there.
 	kick chan struct{}
 
-	outMu sync.Mutex
-	outs  map[int]chan Delivery
+	streams Streams
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -111,7 +110,6 @@ func NewBatcher(inner Broadcaster, cfg BatchConfig) *Batcher {
 		inner: inner,
 		cfg:   cfg,
 		kick:  make(chan struct{}, 1),
-		outs:  make(map[int]chan Delivery),
 		stop:  make(chan struct{}),
 	}
 	b.wg.Add(1)
@@ -232,8 +230,8 @@ func (b *Batcher) flushSettled(seen int) (int, bool) {
 }
 
 // windowFlush is the fallback for an own delivery that never comes: the
-// issuer crashed, or nobody reads its stream. It writes the flushes in
-// flight off, so a loss costs one window rather than a window on every
+// issuer crashed, or its process has no subscriber. It writes the
+// flushes in flight off, so a loss costs one window, not one on every
 // later batch. Like the flusher's, its error has no waiting caller.
 func (b *Batcher) windowFlush() {
 	b.mu.Lock()
@@ -274,63 +272,33 @@ func (b *Batcher) flushLocked() error {
 	return b.inner.Broadcast(items[0].From, BatchMsg{Items: items}, total)
 }
 
-// Deliveries returns p's renumbered, expanded delivery stream. The
-// expander goroutine is created on first use per process; a closed
-// Batcher starts none (Close may already be waiting for the expanders),
-// so its streams stay silent.
-func (b *Batcher) Deliveries(p int) <-chan Delivery {
-	b.outMu.Lock()
-	defer b.outMu.Unlock()
-	if out, ok := b.outs[p]; ok {
-		return out
+// Subscribe implements Broadcaster: fn gets p's expanded, renumbered
+// stream. Its callback on the inner broadcaster counts p's own flushes
+// back in, then expands each BatchMsg into one delivery per item and
+// renumbers inline; seq is a pure function of the shared inner order,
+// so every process assigns identical sequence numbers.
+func (b *Batcher) Subscribe(p int, fn func(Delivery)) {
+	var seq int64
+	emit := func(from int, payload any) {
+		fn(Delivery{Seq: seq, From: from, Payload: payload})
+		seq++
 	}
-	out := make(chan Delivery, 256)
-	b.outs[p] = out
-	select {
-	case <-b.stop:
-	default:
-		b.wg.Add(1)
-		go b.expand(p, out)
-	}
-	return out
+	b.inner.Subscribe(p, func(d Delivery) {
+		if d.From == p {
+			b.landed()
+		}
+		if batch, ok := d.Payload.(BatchMsg); ok {
+			for _, it := range batch.Items {
+				emit(it.From, it.Payload)
+			}
+			return
+		}
+		emit(d.From, d.Payload)
+	})
 }
 
-// expand renumbers p's inner delivery stream, turning each BatchMsg
-// into one Delivery per item. seq is a pure function of the shared
-// inner order, so every process assigns identical sequence numbers.
-func (b *Batcher) expand(p int, out chan<- Delivery) {
-	defer b.wg.Done()
-	in := b.inner.Deliveries(p)
-	var seq int64
-	emit := func(from int, payload any) bool {
-		select {
-		case out <- Delivery{Seq: seq, From: from, Payload: payload}:
-			seq++
-			return true
-		case <-b.stop:
-			return false
-		}
-	}
-	for {
-		select {
-		case <-b.stop:
-			return
-		case d := <-in:
-			if d.From == p {
-				b.landed()
-			}
-			if batch, ok := d.Payload.(BatchMsg); ok {
-				for _, it := range batch.Items {
-					if !emit(it.From, it.Payload) {
-						return
-					}
-				}
-			} else if !emit(d.From, d.Payload) {
-				return
-			}
-		}
-	}
-}
+// Deliveries returns p's expanded stream as a channel (see Streams).
+func (b *Batcher) Deliveries(p int) <-chan Delivery { return b.streams.Get(p, b.Subscribe, b.stop) }
 
 // MessageCost reports the inner broadcaster's traffic.
 func (b *Batcher) MessageCost() (int64, int64) { return b.inner.MessageCost() }
@@ -344,7 +312,7 @@ func (b *Batcher) BatchStats() (flushes, batches, batched int64) {
 	return b.flushes.Load(), b.batches.Load(), b.batchedItems.Load()
 }
 
-// Close flushes any queued partial batch, stops the expanders, and
+// Close flushes any queued partial batch, stops the flusher, and
 // closes the inner broadcaster.
 func (b *Batcher) Close() {
 	b.mu.Lock()
@@ -355,11 +323,7 @@ func (b *Batcher) Close() {
 	b.closed = true
 	_ = b.flushLocked()
 	b.mu.Unlock()
-	// Under outMu, so no Deliveries call adds an expander to wg once
-	// the Wait below may have begun.
-	b.outMu.Lock()
 	close(b.stop)
-	b.outMu.Unlock()
 	b.inner.Close()
 	b.wg.Wait()
 }

@@ -2,6 +2,8 @@ package abcast
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -48,33 +50,30 @@ func TestBatcherConformance(t *testing.T) {
 // what, and released by which delivery.
 type scriptedInner struct {
 	sent chan Delivery
-	outs []chan Delivery
+	subs Subscribers
 	seq  int64
 }
 
 func newScriptedInner(procs int) *scriptedInner {
-	s := &scriptedInner{sent: make(chan Delivery, 16), outs: make([]chan Delivery, procs)}
-	for p := range s.outs {
-		s.outs[p] = make(chan Delivery, 16)
-	}
-	return s
+	return &scriptedInner{sent: make(chan Delivery, 16), subs: NewSubscribers(procs)}
 }
 
 func (s *scriptedInner) Broadcast(from int, payload any, bytes int) error {
 	s.sent <- Delivery{From: from, Payload: payload}
 	return nil
 }
-func (s *scriptedInner) Deliveries(p int) <-chan Delivery { return s.outs[p] }
-func (s *scriptedInner) MessageCost() (int64, int64)      { return 0, 0 }
-func (s *scriptedInner) NetStats() network.Stats          { return network.Stats{} }
-func (s *scriptedInner) Close()                           {}
+func (s *scriptedInner) Subscribe(p int, fn func(Delivery)) { s.subs.Subscribe(p, fn) }
+func (s *scriptedInner) MessageCost() (int64, int64)        { return 0, 0 }
+func (s *scriptedInner) NetStats() network.Stats            { return network.Stats{} }
+func (s *scriptedInner) Close()                             {}
 
-// deliver orders d next at every process.
+// deliver orders d next at every process, running each subscriber
+// inline on the caller, as a member loop would.
 func (s *scriptedInner) deliver(d Delivery) {
 	d.Seq = s.seq
 	s.seq++
-	for _, out := range s.outs {
-		out <- d
+	for p := range s.subs {
+		s.subs.Deliver(p, d)
 	}
 }
 
@@ -157,6 +156,30 @@ func TestBatcherCoalesces(t *testing.T) {
 	flushes, batches, items := b.BatchStats()
 	if flushes != 2 || batches != 1 || items != 3 {
 		t.Fatalf("BatchStats = (%d, %d, %d), want (2, 1, 3)", flushes, batches, items)
+	}
+}
+
+// Subscribe expands and renumbers on the inner broadcaster's member
+// loop: by the time an inner delivery returns, the subscriber has seen
+// every item it carries, and subscribing started no goroutine.
+func TestBatcherSubscribeExpandsInline(t *testing.T) {
+	inner := newScriptedInner(2)
+	b := NewBatcher(inner, BatchConfig{Size: 8, Window: time.Hour})
+	defer b.Close()
+	before := runtime.NumGoroutine()
+	var got []Delivery
+	b.Subscribe(1, func(d Delivery) { got = append(got, d) })
+	inner.deliver(Delivery{From: 0, Payload: "solo"})
+	if want := []Delivery{{Seq: 0, From: 0, Payload: "solo"}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after a raw inner delivery: %+v, want %+v", got, want)
+	}
+	inner.deliver(Delivery{From: 0, Payload: BatchMsg{Items: []BatchItem{{From: 1, Payload: "a"}, {From: 0, Payload: "b"}}}})
+	want := []Delivery{{Seq: 0, From: 0, Payload: "solo"}, {Seq: 1, From: 1, Payload: "a"}, {Seq: 2, From: 0, Payload: "b"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("after a batch: %+v, want %+v", got, want)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after Subscribe and two deliveries, %d before", after, before)
 	}
 }
 
@@ -348,9 +371,10 @@ func TestBatcherCloseFlushesAndRejects(t *testing.T) {
 	if err := b.Broadcast(0, "pending", 7); err != nil {
 		t.Fatalf("Broadcast: %v", err)
 	}
-	// The flush happens before the expander stops, but delivery through
-	// the inner protocol races Close; accept either the delivery or a
-	// clean stop, requiring only that Broadcast-after-Close fails.
+	// The flush happens before the inner broadcaster closes, but
+	// delivery through the inner protocol races Close; accept either the
+	// delivery or a clean stop, requiring only that Broadcast-after-Close
+	// fails.
 	go b.Close()
 	select {
 	case d := <-out:
@@ -398,10 +422,9 @@ func TestBatcherConfigNormalization(t *testing.T) {
 	}
 }
 
-// Deliveries racing Close must not add an expander to the WaitGroup
-// Close is already waiting on: that panics ("WaitGroup is reused before
-// previous Wait has returned", or "Add called concurrently with Wait").
-// A stream first asked for after Close starts nothing and stays silent.
+// Deliveries racing Close must neither panic nor hang: subscribing
+// starts no goroutine that Close would have to wait for, and a stream
+// first asked for after Close stays silent.
 func TestBatcherCloseRacesDeliveries(t *testing.T) {
 	const procs = 4
 	for round := 0; round < 200; round++ {

@@ -66,7 +66,7 @@ func TestSequencerFDConformance(t *testing.T) {
 // leader (process 0) crashes mid-run, verifies that the three live
 // processes agree on one exactly-once stream covering every message
 // they sent, and returns those streams.
-func runCoordinatorCrash(t *testing.T, b Broadcaster, restart bool) map[int][]Delivery {
+func runCoordinatorCrash(t *testing.T, b streamed, restart bool) map[int][]Delivery {
 	t.Helper()
 	const procs = 4
 	const preCrash, postCrash = 5, 10

@@ -22,10 +22,9 @@ import (
 // order"), so Lamport runs its private network in FIFO mode.
 // Delivery waits on every process: Lamport assumes no crashes.
 type Lamport struct {
+	members // Subscribe, Deliveries and stop
 	n       int
 	net     network.Link
-	outs    []chan Delivery
-	stop    chan struct{}
 	closed  atomic.Bool
 	wg      sync.WaitGroup
 	headerB int
@@ -93,12 +92,8 @@ func NewLamport(cfg LamportConfig) (*Lamport, error) {
 	l := &Lamport{
 		n:       cfg.Procs,
 		net:     net,
-		outs:    make([]chan Delivery, cfg.Procs),
-		stop:    make(chan struct{}),
+		members: members{subs: NewSubscribers(cfg.Procs), stop: make(chan struct{})},
 		headerB: 16,
-	}
-	for i := range l.outs {
-		l.outs[i] = make(chan Delivery, 1024)
 	}
 	for p := 0; p < cfg.Procs; p++ {
 		l.wg.Add(1)
@@ -119,9 +114,6 @@ func (l *Lamport) Broadcast(from int, payload any, bytes int) error {
 	}
 	return l.net.Send(from, from, "abcast.submit", lamportSubmit{Payload: payload, Bytes: bytes}, 0)
 }
-
-// Deliveries implements Broadcaster.
-func (l *Lamport) Deliveries(p int) <-chan Delivery { return l.outs[p] }
 
 // MessageCost implements Broadcaster. Submit self-messages are metered at
 // zero bytes, so the cost reflects data and ack traffic.
@@ -204,7 +196,7 @@ func (l *Lamport) runMember(p int) {
 		return true
 	}
 
-	flush := func() bool {
+	flush := func() {
 		for queue.Len() > 0 {
 			head := queue.head()
 			stable := true
@@ -221,18 +213,12 @@ func (l *Lamport) runMember(p int) {
 				}
 			}
 			if !stable {
-				return true
+				return
 			}
 			it := heap.Pop(&queue).(lamportItem)
-			d := Delivery{Seq: delivered, From: it.From, Payload: it.Payload}
+			l.subs.Deliver(p, Delivery{Seq: delivered, From: it.From, Payload: it.Payload})
 			delivered++
-			select {
-			case l.outs[p] <- d:
-			case <-l.stop:
-				return false
-			}
 		}
-		return true
 	}
 
 	for {
@@ -245,9 +231,7 @@ func (l *Lamport) runMember(p int) {
 				if !submit(m) {
 					return
 				}
-				if !flush() {
-					return
-				}
+				flush()
 			case lamportData:
 				if m.TS > clock {
 					clock = m.TS
@@ -269,9 +253,7 @@ func (l *Lamport) runMember(p int) {
 						return
 					}
 				}
-				if !flush() {
-					return
-				}
+				flush()
 			case lamportAck:
 				if m.TS > clock {
 					clock = m.TS
@@ -280,9 +262,7 @@ func (l *Lamport) runMember(p int) {
 				if lastHeard[m.From] < m.TS {
 					lastHeard[m.From] = m.TS
 				}
-				if !flush() {
-					return
-				}
+				flush()
 			}
 		}
 	}

@@ -28,12 +28,11 @@ import (
 // the new leader; duplicate assignment is prevented by per-request
 // (origin, reqID) keys.
 type Sequencer struct {
+	members   // Subscribe, Deliveries and stop
 	n         int
 	seqEP     int // dedicated sequencer endpoint (FD nil); defaults to n
 	net       network.Link
-	outs      []chan Delivery
 	resume    []chan int64 // crash-free member fast-forward (see Resume)
-	stop      chan struct{}
 	closed    atomic.Bool
 	wg        sync.WaitGroup
 	headerB   int
@@ -166,9 +165,8 @@ func NewSequencer(cfg SequencerConfig) (*Sequencer, error) {
 		n:       cfg.Procs,
 		seqEP:   seqEP,
 		net:     net,
-		outs:    make([]chan Delivery, cfg.Procs),
+		members: members{subs: NewSubscribers(cfg.Procs), stop: make(chan struct{})},
 		resume:  make([]chan int64, cfg.Procs),
-		stop:    make(chan struct{}),
 		headerB: 16, // sequence number + sender, nominal wire overhead
 	}
 	for i := range s.resume {
@@ -177,9 +175,6 @@ func NewSequencer(cfg SequencerConfig) (*Sequencer, error) {
 	if cfg.FD != nil {
 		fd := cfg.FD.withDefaults()
 		s.fd = &fd
-	}
-	for i := range s.outs {
-		s.outs[i] = make(chan Delivery, 1024)
 	}
 	if s.fd == nil {
 		s.wg.Add(1)
@@ -213,9 +208,6 @@ func (s *Sequencer) Broadcast(from int, payload any, bytes int) error {
 	req := seqRequest{Origin: from, Payload: payload, Bytes: bytes}
 	return s.net.Send(from, s.seqEP, "abcast.req", req, bytes+s.headerB)
 }
-
-// Deliveries implements Broadcaster.
-func (s *Sequencer) Deliveries(p int) <-chan Delivery { return s.outs[p] }
 
 // MessageCost implements Broadcaster. In failover mode, submit
 // self-messages are metered at zero bytes and excluded from the count so
@@ -275,32 +267,18 @@ func (s *Sequencer) runSequencer() {
 func (s *Sequencer) runMember(p int) {
 	defer s.wg.Done()
 	buf := newDeliveryBuffer()
-	emit := func(ready []Delivery) bool {
-		for _, d := range ready {
-			select {
-			case s.outs[p] <- d:
-			case <-s.stop:
-				return false
-			}
-		}
-		return true
-	}
 	for {
 		select {
 		case <-s.stop:
 			return
 		case next := <-s.resume[p]:
-			if !emit(buf.fastForward(next)) {
-				return
-			}
+			s.subs.Deliver(p, buf.fastForward(next)...)
 		case msg := <-s.net.Recv(p):
 			ord, ok := msg.Payload.(seqOrder)
 			if !ok {
 				continue
 			}
-			if !emit(buf.add(Delivery{Seq: ord.Seq, From: ord.Origin, Payload: ord.Payload})) {
-				return
-			}
+			s.subs.Deliver(p, buf.add(Delivery{Seq: ord.Seq, From: ord.Origin, Payload: ord.Payload})...)
 		}
 	}
 }
@@ -501,9 +479,7 @@ func (s *Sequencer) leaderAssign(p int, st *seqMemberState, req seqRequest) bool
 	st.assigned[key] = true
 	ord := seqOrder{View: st.view, Seq: st.nextSeq, Origin: req.Origin, ReqID: req.ReqID, Payload: req.Payload, Bytes: req.Bytes}
 	st.nextSeq++
-	if !s.appendOrder(p, st, ord) {
-		return false
-	}
+	s.appendOrder(p, st, ord)
 	for q := 0; q < s.n; q++ {
 		if q == p {
 			continue
@@ -518,7 +494,7 @@ func (s *Sequencer) leaderAssign(p int, st *seqMemberState, req seqRequest) bool
 // appendOrder appends ord at the end of the local log and delivers it,
 // deduplicating re-assigned requests. Every member appends the same log,
 // so the renumbered delivery streams are identical.
-func (s *Sequencer) appendOrder(p int, st *seqMemberState, ord seqOrder) bool {
+func (s *Sequencer) appendOrder(p int, st *seqMemberState, ord seqOrder) {
 	st.log = append(st.log, ord)
 	key := seqReqKey{ord.Origin, ord.ReqID}
 	// Drop the request from the pending list once it is ordered.
@@ -531,17 +507,11 @@ func (s *Sequencer) appendOrder(p int, st *seqMemberState, ord seqOrder) bool {
 		}
 	}
 	if st.dedup[key] {
-		return true
+		return
 	}
 	st.dedup[key] = true
-	d := Delivery{Seq: st.delivered, From: ord.Origin, Payload: ord.Payload}
+	s.subs.Deliver(p, Delivery{Seq: st.delivered, From: ord.Origin, Payload: ord.Payload})
 	st.delivered++
-	select {
-	case s.outs[p] <- d:
-		return true
-	case <-s.stop:
-		return false
-	}
 }
 
 // startSync begins a takeover of view v: fence and solicit every other
@@ -583,9 +553,7 @@ func (s *Sequencer) finishSyncIfReady(p int, st *seqMemberState, det *detector) 
 	}
 	// Install the extension beyond what this process already has.
 	for _, ord := range adopted[len(st.log):] {
-		if !s.appendOrder(p, st, ord) {
-			return false
-		}
+		s.appendOrder(p, st, ord)
 	}
 	st.assigned = make(map[seqReqKey]bool, len(st.log))
 	for _, ord := range st.log {
@@ -665,7 +633,7 @@ func (s *Sequencer) handleFailoverMsg(p int, st *seqMemberState, det *detector, 
 		// Per-link FIFO from a single leader makes orders arrive in
 		// assignment sequence; anything else is a superseded duplicate.
 		if m.Seq == int64(len(st.log)) {
-			return s.appendOrder(p, st, m)
+			s.appendOrder(p, st, m)
 		}
 	case seqSyncReq:
 		if m.View < st.view {
@@ -699,9 +667,7 @@ func (s *Sequencer) handleFailoverMsg(p int, st *seqMemberState, det *detector, 
 		}
 		st.view = m.View
 		for _, ord := range m.Orders[min(len(st.log), len(m.Orders)):] {
-			if !s.appendOrder(p, st, ord) {
-				return false
-			}
+			s.appendOrder(p, st, ord)
 		}
 		// Re-send anything of ours the adopted log does not contain
 		// (snapshot first: sendRequest can shrink st.pending).

@@ -24,11 +24,10 @@ import (
 // The ring assumes processes do not crash (crash tolerance is the
 // sequencer's, failover.go): a crashed holder takes the token with it.
 type Token struct {
+	members // Subscribe, Deliveries and stop
 	n       int
 	net     network.Link
-	outs    []chan Delivery
 	pending []*tokenQueue
-	stop    chan struct{}
 	closed  atomic.Bool
 	wg      sync.WaitGroup
 	headerB int
@@ -100,13 +99,11 @@ func NewToken(cfg TokenConfig) (*Token, error) {
 	t := &Token{
 		n:       cfg.Procs,
 		net:     net,
-		outs:    make([]chan Delivery, cfg.Procs),
+		members: members{subs: NewSubscribers(cfg.Procs), stop: make(chan struct{})},
 		pending: make([]*tokenQueue, cfg.Procs),
-		stop:    make(chan struct{}),
 		headerB: 16,
 	}
-	for i := range t.outs {
-		t.outs[i] = make(chan Delivery, 1024)
+	for i := range t.pending {
 		t.pending[i] = &tokenQueue{}
 	}
 	for p := 0; p < cfg.Procs; p++ {
@@ -136,9 +133,6 @@ func (t *Token) Broadcast(from int, payload any, bytes int) error {
 	q.mu.Unlock()
 	return nil
 }
-
-// Deliveries implements Broadcaster.
-func (t *Token) Deliveries(p int) <-chan Delivery { return t.outs[p] }
 
 // MessageCost implements Broadcaster.
 func (t *Token) MessageCost() (int64, int64) {
@@ -202,13 +196,7 @@ func (t *Token) runMember(p int) {
 					return
 				}
 			case tokenOrder:
-				for _, d := range buf.add(Delivery{Seq: m.Seq, From: m.From, Payload: m.Payload}) {
-					select {
-					case t.outs[p] <- d:
-					case <-t.stop:
-						return
-					}
-				}
+				t.subs.Deliver(p, buf.add(Delivery{Seq: m.Seq, From: m.From, Payload: m.Payload})...)
 			}
 		}
 	}

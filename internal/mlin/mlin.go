@@ -96,6 +96,15 @@
 // Over a sharded group, a query that is not one point in its session's
 // lane schedule is broadcast like an update instead and answered at
 // the issuer's apply (see localReader; DESIGN.md §11).
+//
+// # Delivery
+//
+// A2 is each process's broadcast subscriber (abcast's Subscribe): the
+// broadcaster's member loop applies the update inline. It must never
+// wait on the broadcaster: it does not broadcast, and the completions
+// it runs only record, return a lane token and close a future (core's
+// ExecAsync). Close closes the broadcaster, ending the callbacks, before
+// it fails what is pending, so no apply runs after that sweep.
 package mlin
 
 import (
@@ -194,7 +203,7 @@ type procState struct {
 	// applied counts, per shard, the schedule-order updates reflected in
 	// values/ts (length 1 without sharding, where entry 0 is the
 	// classic scalar: a recovery checkpoint advances it past a crash
-	// outage and the delivery loop skips redelivered updates below it).
+	// outage and applyDelivery skips redelivered updates below it).
 	applied []int64
 	// floor is the session floor: the largest applied prefix (per
 	// shard) any completed query of this process has observed. Later
@@ -418,8 +427,8 @@ type queryResp struct {
 // ErrClosed is returned by Exec after Close.
 var ErrClosed = errors.New("mlin: protocol closed")
 
-// New starts the protocol: a delivery loop (A2) and, unless Sequential,
-// a message loop (A4/A5/A6 plumbing) per process.
+// New starts the protocol: per process, applyDelivery (A2) subscribed
+// and, unless Sequential, a message loop (A4/A5/A6 plumbing).
 func New(cfg Config) (*Protocol, error) {
 	if cfg.Procs <= 0 {
 		return nil, fmt.Errorf("mlin: invalid proc count %d", cfg.Procs)
@@ -471,8 +480,7 @@ func New(cfg Config) (*Protocol, error) {
 		p.states[i] = st
 	}
 	for i := 0; i < cfg.Procs; i++ {
-		p.wg.Add(1)
-		go p.deliveryLoop(i)
+		cfg.Broadcast.Subscribe(i, func(d abcast.Delivery) { p.applyDelivery(i, d) })
 		if !cfg.Sequential {
 			p.wg.Add(1)
 			go p.messageLoop(i)
@@ -976,103 +984,95 @@ func (p *Protocol) probeInterval() time.Duration {
 // wins when the simulated network is slower than this.
 const barrierProbeInterval = 2 * time.Millisecond
 
-// deliveryLoop implements A2 for one process.
-func (p *Protocol) deliveryLoop(proc int) {
-	defer p.wg.Done()
+// applyDelivery implements A2 for one process. It is process proc's
+// broadcast subscriber, so it runs on the broadcaster's goroutine and
+// must never wait on the broadcaster (see the package comment).
+func (p *Protocol) applyDelivery(proc int, d abcast.Delivery) {
 	st := p.states[proc]
-	deliveries := p.cfg.Broadcast.Deliveries(proc)
-	for {
-		select {
-		case <-p.stop:
-			return
-		case d := <-deliveries:
-			payload, ok := d.Payload.(updatePayload)
-			if !ok {
-				continue
-			}
-			st.mu.Lock()
-			var pu *pendingUpdate
-			if payload.From == proc {
-				pu = st.pendUpd[payload.ReqID]
-			}
-			if d.Shards == nil && d.Seq < st.applied[0] {
-				// Subsumed by an adopted recovery checkpoint; applying
-				// again would double-count. (Sharded deliveries carry a
-				// composite Seq that is not monotone per replica stream,
-				// so the guard only applies to the single total order —
-				// sharding excludes recovery at the config layer.) An
-				// issuer still waiting locally gets an error outcome; a
-				// peer still owes the issuer its write-phase ack — the
-				// checkpoint covers the update's effects, so
-				// acknowledging is sound.
-				if pu != nil {
-					delete(st.pendUpd, payload.ReqID)
-				}
-				st.mu.Unlock()
-				if pu != nil {
-					pu.done(mop.Record{}, errors.New("mlin: update subsumed by recovery checkpoint"))
-				} else if payload.From != proc {
-					p.sendAck(proc, payload)
-				}
-				continue
-			}
-			var rec mop.Record
-			var err error
-			if payload.Proc.MayWrite() {
-				rec, err = st.applyLocked(payload.Proc, payload.From, d.Seq, pu != nil)
-			} else if pu != nil {
-				// An ordered m-SC read: answered here, at its issuer's
-				// apply, so it reads a cut of every lane it rides.
-				fp := payload.Proc.Footprint()
-				rec, err = st.read(payload.Proc, fp, st.footprintIDs(fp), proc)
-			}
-			if d.Shards == nil {
-				st.applied[0] = d.Seq + 1
-			} else {
-				// One schedule slot per involved lane: a cross-shard
-				// update occupies exactly one position in each involved
-				// shard's deterministic schedule.
-				for _, s := range d.Shards {
-					st.applied[s]++
-				}
-			}
-			st.cond.Broadcast()
-			var fin []*queryState
-			for _, q := range st.pendQry {
-				// The local apply is read-barrier evidence for any of
-				// this process's queries still waiting on one, and may
-				// end another's session-floor wait.
-				if q.barrier != nil {
-					q.noteApplied(proc, st.applied, p.cfg.Shards)
-					q.noteEvidence(p.quorum())
-				}
-				if p.advance(proc, st, q) {
-					fin = append(fin, q)
-				}
-			}
-			var ready *pendingUpdate
-			if pu != nil {
-				// A2: the issuing process generates the response — but only
-				// once a majority of replicas has applied the update (the
-				// local apply is the first ack). An apply error completes
-				// immediately: it is deterministic, waiting cannot mend it.
-				if p.cfg.Sequential || err != nil || pu.wp.ack(proc, p.quorum()) {
-					delete(st.pendUpd, payload.ReqID)
-					ready = pu
-				} else {
-					pu.wp.rec, pu.wp.applied = rec, true
-				}
-			}
-			st.mu.Unlock()
-			if ready != nil {
-				p.finishUpdate(ready, rec, err)
-			} else if payload.From != proc {
-				p.sendAck(proc, payload)
-			}
-			for _, q := range fin {
-				p.respond(proc, q)
-			}
+	payload, ok := d.Payload.(updatePayload)
+	if !ok {
+		return
+	}
+	st.mu.Lock()
+	var pu *pendingUpdate
+	if payload.From == proc {
+		pu = st.pendUpd[payload.ReqID]
+	}
+	if d.Shards == nil && d.Seq < st.applied[0] {
+		// Subsumed by an adopted recovery checkpoint; applying again
+		// would double-count. (Sharded deliveries carry a composite Seq
+		// that is not monotone per replica stream, so the guard only
+		// applies to the single total order — sharding excludes
+		// recovery at the config layer.) An issuer still waiting
+		// locally gets an error outcome; a peer still owes the issuer
+		// its write-phase ack — the checkpoint covers the update's
+		// effects, so acknowledging is sound.
+		if pu != nil {
+			delete(st.pendUpd, payload.ReqID)
 		}
+		st.mu.Unlock()
+		if pu != nil {
+			pu.done(mop.Record{}, errors.New("mlin: update subsumed by recovery checkpoint"))
+		} else if payload.From != proc {
+			p.sendAck(proc, payload)
+		}
+		return
+	}
+	var rec mop.Record
+	var err error
+	if payload.Proc.MayWrite() {
+		rec, err = st.applyLocked(payload.Proc, payload.From, d.Seq, pu != nil)
+	} else if pu != nil {
+		// An ordered m-SC read: answered here, at its issuer's apply,
+		// so it reads a cut of every lane it rides.
+		fp := payload.Proc.Footprint()
+		rec, err = st.read(payload.Proc, fp, st.footprintIDs(fp), proc)
+	}
+	if d.Shards == nil {
+		st.applied[0] = d.Seq + 1
+	} else {
+		// One schedule slot per involved lane: a cross-shard update
+		// occupies exactly one position in each involved shard's
+		// deterministic schedule.
+		for _, s := range d.Shards {
+			st.applied[s]++
+		}
+	}
+	st.cond.Broadcast()
+	var fin []*queryState
+	for _, q := range st.pendQry {
+		// The local apply is read-barrier evidence for any of this
+		// process's queries still waiting on one, and may end
+		// another's session-floor wait.
+		if q.barrier != nil {
+			q.noteApplied(proc, st.applied, p.cfg.Shards)
+			q.noteEvidence(p.quorum())
+		}
+		if p.advance(proc, st, q) {
+			fin = append(fin, q)
+		}
+	}
+	var ready *pendingUpdate
+	if pu != nil {
+		// A2: the issuing process generates the response — but only
+		// once a majority of replicas has applied the update (the local
+		// apply is the first ack). An apply error completes at once: it
+		// is deterministic, waiting cannot mend it.
+		if p.cfg.Sequential || err != nil || pu.wp.ack(proc, p.quorum()) {
+			delete(st.pendUpd, payload.ReqID)
+			ready = pu
+		} else {
+			pu.wp.rec, pu.wp.applied = rec, true
+		}
+	}
+	st.mu.Unlock()
+	if ready != nil {
+		p.finishUpdate(ready, rec, err)
+	} else if payload.From != proc {
+		p.sendAck(proc, payload)
+	}
+	for _, q := range fin {
+		p.respond(proc, q)
 	}
 }
 

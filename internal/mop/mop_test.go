@@ -1,6 +1,7 @@
 package mop
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -238,5 +239,31 @@ func TestPayloadBytesScalesWithFootprint(t *testing.T) {
 	large := PayloadBytes(MultiRead{Xs: []object.ID{0, 1, 2, 3}})
 	if large <= small {
 		t.Fatalf("payload bytes: small=%d large=%d", small, large)
+	}
+}
+
+// MAssign sorts its objects with slices.Sort, which allocates nothing
+// beyond the key slice: applying a two-object assignment (the Recorder
+// included) costs 4 allocations and encoding it 1, where sort.Slice's
+// closure and reflection cost 6 and 3. The bytes are pinned too: entries
+// go out in ascending object order whatever the map's iteration order.
+// The allocation counts hold only without -race (make codec-gate).
+func TestMAssignAllocs(t *testing.T) {
+	p := MAssign{Writes: map[object.ID]object.Value{1: 10, 0: 20}}
+	vals := make([]object.Value, 2)
+	if n := testing.AllocsPerRun(100, func() { p.Run(NewRecorder(vals, p)) }); n != 4 {
+		t.Errorf("%v allocations to apply a two-object MAssign, want 4", n)
+	}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { _, _ = p.MarshalWire(buf[:0]) }); n != 1 {
+		t.Errorf("%v allocations to encode a two-object MAssign, want 1", n)
+	}
+	got, err := MAssign{Writes: map[object.ID]object.Value{3: 30, 0: 10, 2: 20}}.MarshalWire(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Count 3, then (object, value) zigzag varints: (0, 10), (2, 20), (3, 30).
+	if want := []byte{3, 0, 20, 4, 40, 6, 60}; !bytes.Equal(got, want) {
+		t.Fatalf("MarshalWire = %v, want %v", got, want)
 	}
 }

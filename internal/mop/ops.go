@@ -1,7 +1,7 @@
 package mop
 
 import (
-	"sort"
+	"slices"
 
 	"moc/internal/object"
 )
@@ -96,7 +96,7 @@ func (o MAssign) Run(txn Txn) any {
 	for x := range o.Writes {
 		xs = append(xs, x)
 	}
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+	slices.Sort(xs)
 	for _, x := range xs {
 		txn.Write(x, o.Writes[x])
 	}

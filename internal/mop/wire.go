@@ -1,7 +1,7 @@
 package mop
 
 import (
-	"sort"
+	"slices"
 
 	"moc/internal/object"
 	"moc/internal/wire"
@@ -97,7 +97,7 @@ func (o MAssign) MarshalWire(b []byte) ([]byte, error) {
 	for x := range o.Writes {
 		xs = append(xs, x)
 	}
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+	slices.Sort(xs)
 	b = wire.AppendUvarint(b, uint64(len(xs)))
 	for _, x := range xs {
 		b = wire.AppendVarint(b, int64(x))

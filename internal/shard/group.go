@@ -94,12 +94,17 @@ type GroupConfig struct {
 // involved shard. They are globally unique and strictly increasing
 // along every shard's schedule, but not gap-free or monotone per
 // replica stream; Delivery.Shards marks them as sharded.
+//
+// Delivery is by callback (Subscribe): each lane's member goroutine
+// merges its delivery under the replica lock and calls the subscriber
+// there, so no goroutine or channel sits between a lane's total order
+// and the apply. The subscriber must never wait on any lane's progress.
 type Group struct {
-	procs int
-	m     *Map
-	lanes []abcast.Broadcaster
-	outs  []chan abcast.Delivery
-	reps  []*replica
+	procs   int
+	m       *Map
+	lanes   []abcast.Broadcaster
+	reps    []*replica
+	streams abcast.Streams
 
 	anchMu  sync.Mutex
 	anchors map[int]anchor // per session: from + lane·procs
@@ -113,7 +118,7 @@ type Group struct {
 	wg        sync.WaitGroup
 }
 
-// replica is one process's schedule and the lock its K pumps share.
+// replica is one process's schedule and the lock its lane callbacks share.
 type replica struct {
 	mu sync.Mutex
 	*schedule
@@ -177,8 +182,8 @@ type Commit struct {
 	Final int64
 }
 
-// NewGroup builds the composed broadcaster over cfg.Lanes and starts
-// one pump goroutine per (replica, lane).
+// NewGroup builds the composed broadcaster over cfg.Lanes. It starts no
+// goroutine: each lane's member loop drives the merge (see Subscribe).
 func NewGroup(cfg GroupConfig) (*Group, error) {
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("shard: need at least one process, got %d", cfg.Procs)
@@ -194,20 +199,12 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 		procs:   cfg.Procs,
 		m:       cfg.Map,
 		lanes:   cfg.Lanes,
-		outs:    make([]chan abcast.Delivery, cfg.Procs),
 		reps:    make([]*replica, cfg.Procs),
 		anchors: make(map[int]anchor),
 		stop:    make(chan struct{}),
 	}
 	for p := 0; p < cfg.Procs; p++ {
-		g.outs[p] = make(chan abcast.Delivery, 1024)
 		g.reps[p] = &replica{schedule: newSchedule(p, k)}
-	}
-	for p := 0; p < cfg.Procs; p++ {
-		for s := 0; s < k; s++ {
-			g.wg.Add(1)
-			go g.pump(p, s)
-		}
 	}
 	return g, nil
 }
@@ -339,8 +336,34 @@ func (g *Group) Stats() Stats {
 	return st
 }
 
-// Deliveries returns process p's composed delivery stream.
-func (g *Group) Deliveries(p int) <-chan abcast.Delivery { return g.outs[p] }
+// Subscribe implements abcast.Broadcaster: fn gets replica r's composed
+// stream. Lane s's callback locks the replica, merges the delivery,
+// sends each merge message it returns from a goroutine of its own (a
+// lane Broadcast can block on a full transport queue), and calls fn for
+// the emitted deliveries, in order, under the lock — so the replica's K
+// lanes cannot reorder or overlap them.
+func (g *Group) Subscribe(r int, fn func(abcast.Delivery)) {
+	rep := g.reps[r]
+	for s, l := range g.lanes {
+		l.Subscribe(r, func(d abcast.Delivery) {
+			rep.mu.Lock()
+			defer rep.mu.Unlock()
+			emit, out := rep.Deliver(s, d)
+			for _, o := range out {
+				g.wg.Add(1)
+				go g.send(r, o)
+			}
+			for _, e := range emit {
+				fn(e)
+			}
+		})
+	}
+}
+
+// Deliveries returns replica p's stream as a channel (abcast.Streams).
+func (g *Group) Deliveries(p int) <-chan abcast.Delivery {
+	return g.streams.Get(p, g.Subscribe, g.stop)
+}
 
 // MessageCost sums the lanes' traffic counters.
 func (g *Group) MessageCost() (int64, int64) {
@@ -374,8 +397,8 @@ func (g *Group) BatchStats() (flushes, batches, batched int64) {
 	return flushes, batches, batched
 }
 
-// Close shuts every lane down and waits for the pump goroutines before
-// closing the delivery streams.
+// Close shuts every lane down, which ends their callbacks, and waits
+// for the merge sends.
 func (g *Group) Close() {
 	g.closeOnce.Do(func() {
 		close(g.stop)
@@ -383,43 +406,7 @@ func (g *Group) Close() {
 			l.Close()
 		}
 		g.wg.Wait()
-		for _, out := range g.outs {
-			close(out)
-		}
 	})
-}
-
-// pump drives lane s's deliveries through replica r's schedule. Each
-// outbound message gets its own send, as a lane Broadcast can block on a
-// full transport queue; the emit stays under the lock, so the K pumps of
-// a replica cannot reorder it, and waits on the consumer's channel.
-func (g *Group) pump(r, s int) {
-	defer g.wg.Done()
-	rep := g.reps[r]
-	ch := g.lanes[s].Deliveries(r)
-	for {
-		select {
-		case <-g.stop:
-			return
-		case d, ok := <-ch:
-			if !ok {
-				return
-			}
-			rep.mu.Lock()
-			emit, out := rep.Deliver(s, d)
-			for _, o := range out {
-				g.wg.Add(1)
-				go g.send(r, o)
-			}
-			for _, e := range emit {
-				select {
-				case g.outs[r] <- e:
-				case <-g.stop:
-				}
-			}
-			rep.mu.Unlock()
-		}
-	}
 }
 
 // send broadcasts merge message o from the issuer on each of its lanes.

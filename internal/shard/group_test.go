@@ -3,7 +3,9 @@ package shard
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,14 +15,15 @@ import (
 )
 
 // memLane is a loss-free in-memory atomic broadcaster: one mutex, one
-// sequence counter, synchronous fan-out. It gives every replica the
-// identical per-lane total order the real broadcasters guarantee, so
-// group tests exercise the merge, not the transport.
+// sequence counter, synchronous fan-out to every replica's subscriber
+// on the broadcasting goroutine. It gives every replica the identical
+// per-lane total order the real broadcasters guarantee, so group tests
+// exercise the merge, not the transport, and it starts no goroutine.
 type memLane struct {
 	mu     sync.Mutex
 	seq    int64
 	merge  mergeMsgs // merge messages broadcast, by kind
-	outs   []chan abcast.Delivery
+	subs   abcast.Subscribers
 	closed bool
 }
 
@@ -28,11 +31,7 @@ type memLane struct {
 type mergeMsgs struct{ Tickets, Closes, Commits int64 }
 
 func newMemLane(n int) *memLane {
-	l := &memLane{outs: make([]chan abcast.Delivery, n)}
-	for i := range l.outs {
-		l.outs[i] = make(chan abcast.Delivery, 1<<16)
-	}
-	return l
+	return &memLane{subs: abcast.NewSubscribers(n)}
 }
 
 func (l *memLane) Broadcast(from int, payload any, bytes int) error {
@@ -51,26 +50,20 @@ func (l *memLane) Broadcast(from int, payload any, bytes int) error {
 	case Commit:
 		l.merge.Commits++
 	}
-	for _, ch := range l.outs {
-		ch <- d
+	for p := range l.subs {
+		l.subs.Deliver(p, d)
 	}
 	return nil
 }
 
-func (l *memLane) Deliveries(p int) <-chan abcast.Delivery { return l.outs[p] }
-func (l *memLane) MessageCost() (int64, int64)             { return l.seq, 0 }
-func (l *memLane) NetStats() network.Stats                 { return network.Stats{Messages: l.seq} }
+func (l *memLane) Subscribe(p int, fn func(abcast.Delivery)) { l.subs.Subscribe(p, fn) }
+func (l *memLane) MessageCost() (int64, int64)               { return l.seq, 0 }
+func (l *memLane) NetStats() network.Stats                   { return network.Stats{Messages: l.seq} }
 
 func (l *memLane) Close() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
 	l.closed = true
-	for _, ch := range l.outs {
-		close(ch)
-	}
 }
 
 // testPayload is a routable broadcast payload; Lane picks its
@@ -487,10 +480,10 @@ func (l *logLane) Broadcast(from int, payload any, bytes int) error {
 	return nil
 }
 
-func (l *logLane) Deliveries(int) <-chan abcast.Delivery { return nil }
-func (l *logLane) MessageCost() (int64, int64)           { return 0, 0 }
-func (l *logLane) NetStats() network.Stats               { return network.Stats{} }
-func (l *logLane) Close()                                {}
+func (l *logLane) Subscribe(int, func(abcast.Delivery)) {}
+func (l *logLane) MessageCost() (int64, int64)          { return 0, 0 }
+func (l *logLane) NetStats() network.Stats              { return network.Stats{} }
+func (l *logLane) Close()                               {}
 
 // at returns log entry i, if it has been sequenced.
 func (l *logLane) at(i int) (abcast.Delivery, bool) {
@@ -830,5 +823,92 @@ func TestGroupStatsSumLanes(t *testing.T) {
 	}
 	if f, b, n := g.BatchStats(); f != 55 || b != 22 || n != 77 {
 		t.Fatalf("BatchStats = (%d, %d, %d), want (55, 22, 77)", f, b, n)
+	}
+}
+
+// Subscribing drives the merge from the lanes' own goroutines: over
+// lanes that start none, NewGroup and Subscribe start none either, and
+// a delivery reaches the subscriber before the lane's Broadcast returns.
+func TestGroupSubscribeStartsNoGoroutine(t *testing.T) {
+	const procs, objects, shards = 3, 8, 4
+	before := runtime.NumGoroutine()
+	g := newTestGroup(t, procs, objects, shards)
+	defer g.Close()
+	got := make([][]int, procs)
+	for r := 0; r < procs; r++ {
+		g.Subscribe(r, func(d abcast.Delivery) { got[r] = append(got[r], d.Payload.(testPayload).ID) })
+	}
+	for i := 0; i < shards; i++ {
+		// One session per shard, so every operation rides one lane.
+		if err := g.Broadcast(0, testPayload{ID: i, Fp: []object.ID{object.ID(i)}, Lane: i}, 8); err != nil {
+			t.Fatal(err)
+		}
+		for r := range got {
+			if len(got[r]) != i+1 || got[r][i] != i {
+				t.Fatalf("replica %d after broadcast %d: %v", r, i, got[r])
+			}
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after NewGroup, Subscribe and %d deliveries, %d before", after, shards, before)
+	}
+}
+
+// A replica's K lane callbacks never overlap, though each lane delivers
+// on its own goroutine: every single-shard and cross-shard delivery
+// writes a plain per-replica counter inside the callback, which the race
+// detector reports if two callbacks of one replica run at once, and an
+// in-callback gauge must never read more than one.
+func TestGroupSubscribeCallbacksNeverOverlap(t *testing.T) {
+	const procs, objects, shards, perSession = 3, 8, 4, 60
+	const total = procs * shards * perSession
+	g := newTestGroup(t, procs, objects, shards)
+	inside := make([]atomic.Int32, procs)
+	counts := make([]int, procs) // written only inside the callbacks
+	var delivered atomic.Int64
+	all := make(chan struct{})
+	for r := 0; r < procs; r++ {
+		g.Subscribe(r, func(abcast.Delivery) {
+			if n := inside[r].Add(1); n != 1 {
+				t.Errorf("replica %d: %d callbacks at once", r, n)
+			}
+			counts[r]++
+			inside[r].Add(-1)
+			if delivered.Add(1) == total {
+				close(all)
+			}
+		})
+	}
+	// Sessions on every shard broadcast at once: their lanes deliver
+	// concurrently, and every fourth operation crosses into the next
+	// shard, so merge messages go out on goroutines of their own too.
+	var wg sync.WaitGroup
+	for lane := 0; lane < shards; lane++ {
+		wg.Add(1)
+		go func(lane int) {
+			defer wg.Done()
+			for i := 0; i < perSession; i++ {
+				fp := []object.ID{object.ID(lane)}
+				if i%4 == 3 {
+					fp = append(fp, object.ID((lane+1)%shards))
+				}
+				if err := g.Broadcast(lane%procs, testPayload{ID: lane*perSession + i, Fp: fp, Lane: lane}, 8); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(lane)
+	}
+	wg.Wait()
+	select {
+	case <-all:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%d of %d deliveries", delivered.Load(), total)
+	}
+	g.Close() // no callback runs after: every lane is closed
+	for r, n := range counts {
+		if n != shards*perSession {
+			t.Fatalf("replica %d: %d deliveries, want %d", r, n, shards*perSession)
+		}
 	}
 }

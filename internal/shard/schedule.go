@@ -25,8 +25,8 @@ type schedEntry struct {
 
 // schedule is one replica's merge state across all lanes: the Skeen
 // merge of Group as a pure function of each lane's delivery stream. It
-// takes no lock, sends nothing and emits nothing itself; Group drives
-// it under the replica lock.
+// takes no lock, sends nothing and emits nothing itself; Group's lane
+// callbacks drive it under the replica lock.
 type schedule struct {
 	r        int     // the replica
 	tclock   []int64 // per-shard ticket clocks (Skeen phase 1)
@@ -35,6 +35,7 @@ type schedule struct {
 	pend     [][]*crossOp   // per shard: ticketed, rank not yet fixed
 	sched    [][]schedEntry // per shard: scheduled, not yet emitted (FIFO)
 	held     int64          // Stats.Held at this replica
+	alone    [][]int        // per shard s: {s}, the Shards of its singles
 
 	emit []abcast.Delivery // Deliver's results, reused across calls
 	out  []outbound
@@ -49,14 +50,19 @@ type outbound struct {
 }
 
 func newSchedule(r, k int) *schedule {
-	return &schedule{
+	sc := &schedule{
 		r:        r,
 		tclock:   make([]int64, k),
 		seqClock: make([]int64, k),
 		cross:    make(map[int64]*crossOp),
 		pend:     make([][]*crossOp, k),
 		sched:    make([][]schedEntry, k),
+		alone:    make([][]int, k),
 	}
+	for s := range sc.alone {
+		sc.alone[s] = []int{s}
+	}
+	return sc
 }
 
 // Deliver merges lane s's next delivery d. It returns the deliveries
@@ -178,7 +184,7 @@ func (sc *schedule) advance() {
 						Seq:     sc.seqClock[s]*int64(len(sc.sched)) + int64(s),
 						From:    e.single.From,
 						Payload: e.single.Payload,
-						Shards:  []int{s},
+						Shards:  sc.alone[s],
 					})
 					progress = true
 					continue
