@@ -27,9 +27,10 @@ race:
 # m-lin), plus mocrpc's binary exec frames: the FuzzExecFrame seed
 # corpus (every kind and level, hostile counts, every truncation) and
 # the allocation ceiling of the server's framed exec loop; the shard
-# schedule's zero-allocation single-shard delivery; and MAssign's
+# schedule's zero-allocation single-shard delivery; MAssign's
 # allocation counts on its apply and encode paths, with its pinned wire
-# bytes. The race detector disables sync.Pool reuse, which charges the
+# bytes; and the broadcast hold-back buffer's zero-allocation in-order
+# delivery. The race detector disables sync.Pool reuse, which charges the
 # pooled frame buffer to every encode, and instruments allocations, so
 # the allocation assertions only hold without -race — hence the
 # separate invocation.
@@ -39,6 +40,7 @@ codec-gate:
 	$(GO) test ./internal/core/ -run TestExecAllocationCeiling -count=1
 	$(GO) test ./internal/shard/ -run 'FuzzRouting|TestScheduleDeliverAllocs' -count=1
 	$(GO) test ./internal/mop/ -run TestMAssignAllocs -count=1
+	$(GO) test ./internal/abcast/ -run TestDeliveryBufferAllocs -count=1
 
 # shard-smoke = the sharding acceptance checks, race-instrumented: the
 # shard.Group unit tests (exact ticket/close/commit message counts per
@@ -54,12 +56,15 @@ codec-gate:
 # store-buffering litmus cells (SB, SB with multi-reads, IRIW and a
 # pipelined SB on two shards, m-SC and m-lin, 60 seeds each through the
 # exact checker, the polynomial Verify required to agree with
-# VerifyExact on every run), plus the sharded chaos cell (one lane
-# coordinator SIGKILLed mid-campaign; the surviving shard must keep
-# serving and the merged traces must verify).
+# VerifyExact on every run), the sharding scaling test (closed-loop
+# updates under a modeled per-NIC egress budget: 4 shard lanes against
+# 1, in the simulator, with 10% cross-shard updates, and over loopback
+# TCP, each held to a loose lower bound on its ops/s ratio), plus the
+# sharded chaos cell (one lane coordinator SIGKILLed mid-campaign; the
+# surviving shard must keep serving and the merged traces must verify).
 shard-smoke:
 	$(GO) test ./internal/shard/ -race -run 'TestGroup|TestSchedule' -count=1
-	$(GO) test ./internal/core/ -race -short -run 'TestShardInterleaving|TestShardStoreBuffering' -count=1 -v
+	$(GO) test ./internal/core/ -race -short -run 'TestShardInterleaving|TestShardStoreBuffering|TestShardingScalesOrderingCapacity' -count=1 -v
 	$(GO) test ./internal/chaos/ -race -run TestChaosShardedLaneKill -count=1 -v
 
 # chaos-smoke = the seeded chaos acceptance run: race-instrumented mocd

@@ -1,5 +1,5 @@
 // Command mocbench regenerates the experiments of the reproduction
-// (DESIGN.md §4: E1–E13, E16 and the ablations A1–A2): the figures
+// (DESIGN.md §4: E1–E13 and the ablations A1–A2): the figures
 // of Mittal & Garg (1998) as traces, the complexity separations as
 // tables, and the protocol cost model as measurements.
 //
@@ -11,7 +11,7 @@
 //	mocbench -json [-run E7] [-quick] # write BENCH_<id>.json reports
 //
 // With -json, the measurement experiments (those with machine-readable
-// reports: E7, E13 and E16) are re-run and each report is written
+// reports: E7 and E13) are re-run and each report is written
 // to BENCH_<id>.json in the current directory. Combining -json with
 // -run restricts the set to one experiment.
 //

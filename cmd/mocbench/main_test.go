@@ -19,7 +19,7 @@ func TestRunList(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
 		ids = append(ids, strings.Fields(line)[0])
 	}
-	want := "A1 A2 E1 E10 E11 E12 E13 E16 E2 E3 E4 E5 E6 E7 E8 E9"
+	want := "A1 A2 E1 E10 E11 E12 E13 E2 E3 E4 E5 E6 E7 E8 E9"
 	if got := strings.Join(ids, " "); got != want {
 		t.Fatalf("-list ids = %s, want %s", got, want)
 	}
@@ -34,6 +34,7 @@ func TestRunUsageErrors(t *testing.T) {
 	}{
 		{[]string{"E3"}, "unexpected argument"},
 		{[]string{"-run", "E14"}, "unknown experiment"},
+		{[]string{"-run", "E16"}, "unknown experiment"},
 		{[]string{"-run", "E19"}, "unknown experiment"},
 		{[]string{"-run", "E99"}, "unknown experiment"},
 		{[]string{"-json", "-run", "E1"}, "has no JSON report"},

@@ -146,7 +146,7 @@ func simulate(args []string, stdout, stderr io.Writer) error {
 		partition   = fs.Duration("partition", 0, "fault injection: partition the first half of the processes from the rest until this duration elapses")
 		crash       = fs.String("crash", "", `crash-stop schedule: comma-separated proc@time entries (e.g. "1@40ms,2@80ms")`)
 		restart     = fs.String("restart", "", `restart schedule matching -crash: comma-separated proc@time entries (e.g. "1@160ms")`)
-		shards      = fs.Int("shards", 1, "msc/mlin: partition the object space (id mod N) into this many independent broadcast lanes; cross-shard m-operations run the two-phase ticket merge")
+		shards      = fs.Int("shards", 1, "msc/mlin: partition the object space (id mod N) into this many independent broadcast lanes; cross-shard m-operations run the three-phase ticket/close/commit merge")
 		level       = fs.String("level", "", `consistency level for queries: "one", "quorum" or "all" (empty = the store's native level; "quorum"/"all" need -consistency mlin, "one" also works with msc)`)
 		emitJSON    = fs.Bool("json", false, "print the recorded history as JSON")
 		timeline    = fs.Bool("timeline", false, "render the history as per-process lanes (paper-figure style)")

@@ -101,6 +101,7 @@ type Resumer interface {
 type deliveryBuffer struct {
 	next    int64
 	pending map[int64]Delivery
+	out     []Delivery // ready's result, reused by the next call
 }
 
 func newDeliveryBuffer() *deliveryBuffer {
@@ -134,18 +135,26 @@ func (b *deliveryBuffer) add(d Delivery) []Delivery {
 }
 
 // ready removes and returns the gap-free run of held deliveries from
-// next on.
+// next on, or nil when there is none. The result lives in a slice the
+// buffer keeps, so it is valid only until the next add or fastForward:
+// the member loops hand it to Subscribers.Deliver before either, and
+// Deliver copies what it holds.
 func (b *deliveryBuffer) ready() []Delivery {
-	var ready []Delivery
+	clear(b.out) // drop the last result's payloads
+	b.out = b.out[:0]
 	for {
 		d, ok := b.pending[b.next]
 		if !ok {
-			return ready
+			break
 		}
 		delete(b.pending, b.next)
-		ready = append(ready, d)
+		b.out = append(b.out, d)
 		b.next++
 	}
+	if len(b.out) == 0 {
+		return nil
+	}
+	return b.out
 }
 
 // Subscribers holds one subscriber per process for a broadcaster's

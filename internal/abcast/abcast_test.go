@@ -217,6 +217,21 @@ func TestDeliveryBuffer(t *testing.T) {
 	}
 }
 
+// TestDeliveryBufferAllocs pins the member loops' in-order path: an add
+// that releases the next delivery reuses the buffer's result slice and
+// allocates nothing. Allocation counts are pinned without -race (make
+// codec-gate).
+func TestDeliveryBufferAllocs(t *testing.T) {
+	b := newDeliveryBuffer()
+	if n := testing.AllocsPerRun(100, func() {
+		if got := b.add(Delivery{Seq: b.next}); len(got) != 1 {
+			t.Fatalf("in-order add released %d deliveries, want 1", len(got))
+		}
+	}); n != 0 {
+		t.Fatalf("%v allocations per in-order add, want 0", n)
+	}
+}
+
 func TestTokenConformance(t *testing.T) {
 	b, err := NewToken(TokenConfig{Procs: 4, Seed: 9, MaxDelay: 2 * time.Millisecond})
 	if err != nil {

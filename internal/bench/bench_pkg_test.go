@@ -12,8 +12,8 @@ import (
 
 func TestExperimentsRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 16 {
-		t.Fatalf("experiment count = %d, want 16", len(exps))
+	if len(exps) != 15 {
+		t.Fatalf("experiment count = %d, want 15", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
@@ -25,7 +25,7 @@ func TestExperimentsRegistry(t *testing.T) {
 		}
 		seen[e.ID] = true
 	}
-	for _, want := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E16", "A1", "A2"} {
+	for _, want := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "A1", "A2"} {
 		if !seen[want] {
 			t.Fatalf("missing experiment %s", want)
 		}
@@ -36,8 +36,8 @@ func TestRunJSONReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs measurement experiments; skipped in -short")
 	}
-	if got := jsonIDs(); len(got) != 3 || got[0] != "E13" || got[1] != "E16" || got[2] != "E7" {
-		t.Fatalf("jsonIDs() = %v, want [E13 E16 E7]", got)
+	if got := jsonIDs(); len(got) != 2 || got[0] != "E13" || got[1] != "E7" {
+		t.Fatalf("jsonIDs() = %v, want [E13 E7]", got)
 	}
 	for _, id := range jsonIDs() {
 		id := id

@@ -171,11 +171,11 @@ type Config struct {
 	// lane; 0 or 1 keeps the single total order. Operations touching one
 	// shard ride that shard's lane untouched; operations spanning
 	// several are merged into every involved shard's schedule by a
-	// ticket/commit round (internal/shard), so per-shard schedules stay
-	// deterministic across replicas and disjoint shards never wait on
-	// each other. Incompatible with Recovery, scheduled crash faults, and
-	// an explicit FD config (per-lane failover is not coordinated).
-	// Requires Shards <= len(Objects).
+	// ticket/close/commit round (internal/shard), so per-shard
+	// schedules stay deterministic across replicas and disjoint shards
+	// never wait on each other. Incompatible with Recovery, scheduled
+	// crash faults, and an explicit FD config (per-lane failover is not
+	// coordinated). Requires Shards <= len(Objects).
 	Shards int
 }
 
@@ -418,7 +418,7 @@ func New(cfg Config) (*Store, error) {
 	var bcast abcast.Broadcaster
 	if cfg.Shards > 1 {
 		// One independent broadcast lane per shard, composed by the
-		// ticket/commit merge group. Sequencer lanes spread their
+		// ticket/close/commit merge group. Sequencer lanes spread their
 		// coordinator endpoints (Procs+shard) so killing one daemon
 		// stalls only the lanes it coordinates.
 		smap, merr := shard.NewMap(reg.Len(), cfg.Shards)

@@ -19,10 +19,12 @@ import (
 // TestShardInterleaving is the randomized cross-shard harness: seeded
 // workloads mixing single-shard operations (which ride one broadcast
 // lane untouched) with cross-shard m-operations (ordered by the
-// two-phase ticket/merge), across both broadcast consistencies, several
-// broadcast implementations, shard counts, and — on m-linearizable
-// stores — randomized per-request query levels. Every run is then held
-// to the full verification stack:
+// three-phase ticket/close/commit merge), across both broadcast
+// consistencies, every broadcast implementation, shard counts (the
+// sequencer at 2 and at 4 shards, the lanes
+// TestShardingScalesOrderingCapacity measures), and — on
+// m-linearizable stores — randomized per-request query levels. Every
+// run is then held to the full verification stack:
 //
 //   - Store.Verify, the polynomial sharded path (per-object version
 //     chains under the OO-constraint);
@@ -53,6 +55,7 @@ func TestShardInterleaving(t *testing.T) {
 	for _, cons := range []Consistency{MSequential, MLinearizable} {
 		cases = append(cases,
 			tcase{cons, SequencerBroadcast, 2},
+			tcase{cons, SequencerBroadcast, 4},
 			tcase{cons, TokenBroadcast, 4},
 			tcase{cons, LamportBroadcast, 2},
 		)

@@ -7,8 +7,9 @@
 // partitioned by a static modular map; every m-operation whose
 // footprint stays inside one shard rides that shard's atomic-broadcast
 // lane untouched, and cross-shard m-operations are merged into the
-// involved lanes with a two-phase ticket/commit (Skeen-style) keyed on
-// (shard set, per-shard ticket sequence), so any two conflicting
+// involved lanes by a three-phase ticket/close/commit (Skeen-style,
+// 2k−1 lane broadcasts for k lanes; see Group) keyed on (shard set,
+// per-shard ticket sequence), so any two conflicting
 // updates — which necessarily share an object, hence a shard — are
 // ordered by that shard's schedule. Gotsman & Burckhardt's composition
 // of global operation sequencing is the blueprint for arguing the

@@ -7,10 +7,11 @@ import (
 )
 
 // ShardMix describes a shard-affine operation mix for sharded stores
-// (E16): objects partition into Shards pools by id mod Shards, each
-// process works against its home shard (proc mod Shards), and a
-// CrossFrac fraction of its m-operations additionally touch one object
-// of a foreign shard — the operations the two-phase ticket merge must
+// (the embed-shard4-cross benchmark workload and mocload -shards):
+// objects partition into Shards pools by id mod Shards, each process
+// works against its home shard (proc mod Shards), and a CrossFrac
+// fraction of its m-operations additionally touch one object of a
+// foreign shard — the operations the ticket/close/commit merge must
 // order. CrossFrac 0 is the pure composition regime in which lanes
 // never coordinate.
 type ShardMix struct {
