@@ -211,48 +211,12 @@ func (t Subscribers) Deliver(p int, ds ...Delivery) {
 	}
 }
 
-// Streams adapts Subscribe to channels for every broadcaster's
-// Deliveries: p's first Get subscribes a forwarder into a channel of
-// 1024 slots, so its reader may fall that far behind before the member
-// loop waits for room (until stop); later Gets return the same channel.
-type Streams struct {
-	mu  sync.Mutex
-	chs map[int]chan Delivery
-}
-
-// Get returns p's delivery channel, subscribing on first use.
-func (s *Streams) Get(p int, subscribe func(int, func(Delivery)), stop <-chan struct{}) <-chan Delivery {
-	s.mu.Lock()
-	ch, ok := s.chs[p]
-	if !ok {
-		if s.chs == nil {
-			s.chs = make(map[int]chan Delivery)
-		}
-		ch = make(chan Delivery, 1024)
-		s.chs[p] = ch
-	}
-	s.mu.Unlock()
-	if !ok {
-		subscribe(p, func(d Delivery) {
-			select {
-			case ch <- d:
-			case <-stop:
-			}
-		})
-	}
-	return ch
-}
-
 // members is the delivery side the three orderers share: member loop p
 // hands its deliveries to subs, and stop ends the loops.
 type members struct {
-	subs    Subscribers
-	streams Streams
-	stop    chan struct{}
+	subs Subscribers
+	stop chan struct{}
 }
 
 // Subscribe implements Broadcaster.
 func (m *members) Subscribe(p int, fn func(Delivery)) { m.subs.Subscribe(p, fn) }
-
-// Deliveries returns p's delivery stream as a channel (see Streams).
-func (m *members) Deliveries(p int) <-chan Delivery { return m.streams.Get(p, m.Subscribe, m.stop) }

@@ -9,29 +9,20 @@ import (
 	"moc/internal/network/testutil"
 )
 
-// streamed is a Broadcaster with the Deliveries channel adapter, as
-// every broadcaster in this package has.
-type streamed interface {
-	Broadcaster
-	Deliveries(p int) <-chan Delivery
-}
-
 // runConformance drives any Broadcaster through the atomic-broadcast
 // contract: with `procs` processes each broadcasting `perProc` payloads
 // concurrently, every process must deliver all procs*perProc payloads,
 // exactly once, gap-free, and in the same total order. Even processes
-// take their deliveries through Subscribe, set before the first
-// broadcast; odd ones through Deliveries, asked for only after the
-// last, so their early deliveries are held and replayed.
-func runConformance(t *testing.T, b streamed, procs, perProc int) {
+// subscribe before the first broadcast; odd ones only after the last,
+// so their early deliveries are held and replayed.
+func runConformance(t *testing.T, b Broadcaster, procs, perProc int) {
 	t.Helper()
 	total := procs * perProc
 
 	orders := make([][]Delivery, procs)
-	subscribed := make([]*collector, procs)
+	collectors := make([]testutil.Collector[Delivery], procs)
 	for p := 0; p < procs; p += 2 {
-		subscribed[p] = newCollector(total)
-		b.Subscribe(p, subscribed[p].add)
+		b.Subscribe(p, collectors[p].Add)
 	}
 
 	var wg sync.WaitGroup
@@ -50,20 +41,13 @@ func runConformance(t *testing.T, b streamed, procs, perProc int) {
 	}
 	wg.Wait()
 
-	var collect sync.WaitGroup
-	for p := 0; p < procs; p++ {
-		collect.Add(1)
-		go func(p int) {
-			defer collect.Done()
-			src := testutil.Source(fmt.Sprintf("proc %d transport", p), b.NetStats)
-			if c := subscribed[p]; c != nil {
-				orders[p] = c.wait(t, 30*time.Second, src)
-				return
-			}
-			orders[p] = testutil.Drain(t, 30*time.Second, b.Deliveries(p), total, src)
-		}(p)
+	for p := 1; p < procs; p += 2 {
+		b.Subscribe(p, collectors[p].Add)
 	}
-	collect.Wait()
+	for p := 0; p < procs; p++ {
+		src := testutil.Source(fmt.Sprintf("proc %d transport", p), b.NetStats)
+		orders[p] = collectors[p].Wait(t, 30*time.Second, total, src)
+	}
 	if t.Failed() {
 		return
 	}
@@ -275,45 +259,6 @@ func TestTokenValidation(t *testing.T) {
 		t.Errorf("after close: err = %v, want ErrClosed", err)
 	}
 	b.Close() // idempotent
-}
-
-// collector is a subscriber that records a process's deliveries until
-// it has want of them.
-type collector struct {
-	mu   sync.Mutex
-	got  []Delivery
-	want int
-	full chan struct{}
-}
-
-func newCollector(want int) *collector {
-	return &collector{want: want, full: make(chan struct{})}
-}
-
-func (c *collector) add(d Delivery) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.got = append(c.got, d)
-	if len(c.got) == c.want {
-		close(c.full)
-	}
-}
-
-// wait returns the deliveries once there are want of them, failing t
-// (via Errorf) and dumping the sources after timeout.
-func (c *collector) wait(t *testing.T, timeout time.Duration, sources ...testutil.StatsSource) []Delivery {
-	t.Helper()
-	select {
-	case <-c.full:
-	case <-time.After(timeout):
-		c.mu.Lock()
-		t.Errorf("timed out after %v with %d/%d deliveries", timeout, len(c.got), c.want)
-		c.mu.Unlock()
-		testutil.DumpStats(t, sources...)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Delivery(nil), c.got...)
 }
 
 // A delivery that reaches a process before its subscriber is held, and

@@ -76,8 +76,6 @@ type Batcher struct {
 	// found it there.
 	kick chan struct{}
 
-	streams Streams
-
 	stop chan struct{}
 	wg   sync.WaitGroup
 
@@ -296,9 +294,6 @@ func (b *Batcher) Subscribe(p int, fn func(Delivery)) {
 		emit(d.From, d.Payload)
 	})
 }
-
-// Deliveries returns p's expanded stream as a channel (see Streams).
-func (b *Batcher) Deliveries(p int) <-chan Delivery { return b.streams.Get(p, b.Subscribe, b.stop) }
 
 // MessageCost reports the inner broadcaster's traffic.
 func (b *Batcher) MessageCost() (int64, int64) { return b.inner.MessageCost() }

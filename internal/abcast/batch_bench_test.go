@@ -11,8 +11,8 @@ import (
 // sequencer over a three-node loopback TCP cluster under a batch-32
 // Batcher with the default window. The issuer is process 1 — the sequencer endpoint
 // lives on node 0, so both the request and the order cross a socket.
-// The other processes' streams are drained in the background.
-func benchBatcher(b *testing.B) (bat *Batcher, own <-chan Delivery) {
+// own is the issuer's subscriber; the other processes subscribe a no-op.
+func benchBatcher(b *testing.B, own func(Delivery)) *Batcher {
 	const procs, issuer = 3, 1
 	cl, err := transport.NewCluster(procs)
 	if err != nil {
@@ -23,44 +23,32 @@ func benchBatcher(b *testing.B) (bat *Batcher, own <-chan Delivery) {
 		cl.Close()
 		b.Fatalf("NewSequencer: %v", err)
 	}
-	bat = NewBatcher(seq, BatchConfig{Size: 32})
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	bat := NewBatcher(seq, BatchConfig{Size: 32})
 	for p := 0; p < procs; p++ {
 		if p == issuer {
-			continue
+			bat.Subscribe(p, own)
+		} else {
+			bat.Subscribe(p, func(Delivery) {})
 		}
-		wg.Add(1)
-		go func(ch <-chan Delivery) {
-			defer wg.Done()
-			for {
-				select {
-				case <-ch:
-				case <-stop:
-					return
-				}
-			}
-		}(bat.Deliveries(p))
 	}
 	b.Cleanup(func() {
-		close(stop)
-		wg.Wait()
 		bat.Close()
 		cl.Close()
 	})
-	return bat, bat.Deliveries(issuer)
+	return bat
 }
 
 // BenchmarkBatcherLone is the latency an idle Batcher adds to one
 // update: submit, wait for the issuer's own delivery, repeat.
 func BenchmarkBatcherLone(b *testing.B) {
-	bat, own := benchBatcher(b)
+	landed := make(chan struct{}, 1)
+	bat := benchBatcher(b, func(Delivery) { landed <- struct{}{} })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := bat.Broadcast(1, int64(i), 8); err != nil {
 			b.Fatalf("Broadcast: %v", err)
 		}
-		<-own
+		<-landed
 	}
 }
 
@@ -68,21 +56,14 @@ func BenchmarkBatcherLone(b *testing.B) {
 // Batcher and reports how many updates a flush carries.
 func BenchmarkBatcherPipelined(b *testing.B) {
 	const submitters = 64
-	bat, own := benchBatcher(b)
 	done := make([]chan struct{}, submitters)
 	for i := range done {
 		done[i] = make(chan struct{}, 1)
 	}
-	// Every update carries its submitter's index; the dispatcher hands
-	// each own delivery back to the submitter waiting on it.
-	dispatched := make(chan struct{})
-	go func() {
-		defer close(dispatched)
-		for n := 0; n < b.N; n++ {
-			d := <-own
-			done[d.Payload.(int64)] <- struct{}{}
-		}
-	}()
+	// Every update carries its submitter's index; the issuer's
+	// subscriber hands each own delivery back to the submitter waiting
+	// on it.
+	bat := benchBatcher(b, func(d Delivery) { done[d.Payload.(int64)] <- struct{}{} })
 	f0, _, _ := bat.BatchStats()
 	b.ResetTimer()
 	var wg sync.WaitGroup
@@ -104,7 +85,6 @@ func BenchmarkBatcherPipelined(b *testing.B) {
 		}(s, n)
 	}
 	wg.Wait()
-	<-dispatched
 	b.StopTimer()
 	f1, _, _ := bat.BatchStats()
 	b.ReportMetric(float64(b.N)/float64(f1-f0), "items/flush")

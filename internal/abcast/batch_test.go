@@ -3,6 +3,7 @@ package abcast
 import (
 	"fmt"
 	"reflect"
+	"regexp"
 	"runtime"
 	"sync"
 	"testing"
@@ -120,7 +121,8 @@ func TestBatcherCoalesces(t *testing.T) {
 	inner := newScriptedInner(2)
 	b := NewBatcher(inner, BatchConfig{Size: 8, Window: time.Hour})
 	defer b.Close()
-	own := b.Deliveries(0)
+	var own testutil.Collector[Delivery]
+	b.Subscribe(0, own.Add)
 	mustBroadcast(t, b, "m0")
 	first := inner.nextSent(t)
 	if first.Payload != "m0" || first.From != 0 {
@@ -134,8 +136,8 @@ func TestBatcherCoalesces(t *testing.T) {
 	}
 	// Another process's delivery is not the Batcher's clock.
 	inner.deliver(Delivery{From: 1, Payload: "foreign"})
-	if d := <-own; d.Payload != "foreign" {
-		t.Fatalf("delivery = %+v", d)
+	if ds := own.Wait(t, time.Second, 1); len(ds) != 1 || ds[0].Payload != "foreign" {
+		t.Fatalf("deliveries = %+v", ds)
 	}
 	select {
 	case d := <-inner.sent:
@@ -147,8 +149,12 @@ func TestBatcherCoalesces(t *testing.T) {
 	second := inner.nextSent(t)
 	wantBatch(t, second, "m1", "m2", "m3")
 	inner.deliver(second)
+	got := own.Wait(t, time.Second, 5)
+	if t.Failed() {
+		t.FailNow()
+	}
 	for i, want := range []string{"m0", "m1", "m2", "m3"} {
-		d := <-own
+		d := got[i+1]
 		if d.Seq != int64(i+1) || d.Payload != want || d.From != 0 {
 			t.Fatalf("delivery %d = %+v, want %s", i+1, d, want)
 		}
@@ -214,8 +220,10 @@ func TestBatcherLostOwnDelivery(t *testing.T) {
 	// pipeline counts as empty and m5 goes out at once.
 	setWindow(time.Hour)
 	inner.deliver(last)
-	if d := <-b.Deliveries(0); d.Payload != "m4" {
-		t.Fatalf("delivery = %+v", d)
+	var own testutil.Collector[Delivery]
+	b.Subscribe(0, own.Add)
+	if ds := own.Wait(t, time.Second, 1); len(ds) != 1 || ds[0].Payload != "m4" {
+		t.Fatalf("deliveries = %+v", ds)
 	}
 	mustBroadcast(t, b, "m5")
 	if d := inner.nextSent(t); d.Payload != "m5" {
@@ -237,10 +245,11 @@ func TestBatcherLoneNeedsNoWindow(t *testing.T) {
 	if err := b.Broadcast(1, "solo", 4); err != nil {
 		t.Fatalf("Broadcast: %v", err)
 	}
-	got := testutil.Drain(t, 10*time.Second, b.Deliveries(0), 1,
-		testutil.Source("batcher transport", b.NetStats))
-	if got[0].Payload != "solo" || got[0].From != 1 || got[0].Seq != 0 {
-		t.Fatalf("delivery = %+v", got[0])
+	var own testutil.Collector[Delivery]
+	b.Subscribe(0, own.Add)
+	got := own.Wait(t, 10*time.Second, 1, testutil.Source("batcher transport", b.NetStats))
+	if len(got) != 1 || got[0].Payload != "solo" || got[0].From != 1 || got[0].Seq != 0 {
+		t.Fatalf("deliveries = %+v", got)
 	}
 	flushes, batches, items := b.BatchStats()
 	if flushes != 1 || batches != 0 || items != 0 {
@@ -252,9 +261,9 @@ func TestBatcherLoneNeedsNoWindow(t *testing.T) {
 // goroutine and that goroutine's running count.
 type hammerMsg struct{ worker, n int }
 
-// Concurrent submitters, streams read from the start, and no usable
-// window: every flush is clocked by an own delivery or by Size, over
-// all three orderers on FIFO links. Each stream must be gap-free and
+// Concurrent submitters, every process subscribed from the start, and
+// no usable window: every flush is clocked by an own delivery or by
+// Size, over all three orderers on FIFO links. Each stream must be gap-free and
 // all streams identical. With one issuing process — a daemon's Batcher
 // carries its own updates only — each submitter's updates must also
 // arrive in submission order. With every process issuing through one
@@ -288,15 +297,9 @@ func TestBatcherHammer(t *testing.T) {
 				b := NewBatcher(inner, BatchConfig{Size: 8, Window: time.Hour})
 				defer b.Close()
 
-				orders := make([][]Delivery, procs)
-				var readers sync.WaitGroup
-				for p := 0; p < procs; p++ {
-					readers.Add(1)
-					go func(p int) {
-						defer readers.Done()
-						orders[p] = testutil.Drain(t, 30*time.Second, b.Deliveries(p), total,
-							testutil.Source(fmt.Sprintf("proc %d transport", p), b.NetStats))
-					}(p)
+				collectors := make([]testutil.Collector[Delivery], procs)
+				for p := range collectors {
+					b.Subscribe(p, collectors[p].Add)
 				}
 				var writers sync.WaitGroup
 				for w := 0; w < workers; w++ {
@@ -312,7 +315,11 @@ func TestBatcherHammer(t *testing.T) {
 					}(w)
 				}
 				writers.Wait()
-				readers.Wait()
+				orders := make([][]Delivery, procs)
+				for p := range collectors {
+					orders[p] = collectors[p].Wait(t, 30*time.Second, total,
+						testutil.Source(fmt.Sprintf("proc %d transport", p), b.NetStats))
+				}
 				if t.Failed() {
 					return
 				}
@@ -367,21 +374,23 @@ func TestBatcherCloseFlushesAndRejects(t *testing.T) {
 		t.Fatalf("NewSequencer: %v", err)
 	}
 	b := NewBatcher(inner, BatchConfig{Size: 64, Window: time.Hour})
-	out := b.Deliveries(0)
+	var own testutil.Collector[Delivery]
+	b.Subscribe(0, own.Add)
 	if err := b.Broadcast(0, "pending", 7); err != nil {
 		t.Fatalf("Broadcast: %v", err)
 	}
 	// The flush happens before the inner broadcaster closes, but
 	// delivery through the inner protocol races Close; accept either the
 	// delivery or a clean stop, requiring only that Broadcast-after-Close
-	// fails.
-	go b.Close()
-	select {
-	case d := <-out:
-		if d.Payload != "pending" {
+	// fails. Close has stopped the member loops when it returns, so
+	// nothing arrives after.
+	b.Close()
+	if n := own.Len(); n > 1 {
+		t.Fatalf("%d deliveries of one update", n)
+	} else if n == 1 {
+		if d := own.Wait(t, 0, 1)[0]; d.Payload != "pending" {
 			t.Fatalf("delivery = %+v", d)
 		}
-	case <-time.After(2 * time.Second):
 	}
 	b.Close()
 	if err := b.Broadcast(0, "late", 4); err != ErrClosed {
@@ -405,10 +414,11 @@ func TestBatcherConfigNormalization(t *testing.T) {
 	if err := b.Broadcast(0, "x", 1); err != nil {
 		t.Fatalf("Broadcast: %v", err)
 	}
-	got := testutil.Drain(t, 10*time.Second, b.Deliveries(1), 1,
-		testutil.Source("batcher transport", b.NetStats))
-	if got[0].Payload != "x" {
-		t.Fatalf("delivery = %+v", got[0])
+	var own testutil.Collector[Delivery]
+	b.Subscribe(1, own.Add)
+	got := own.Wait(t, 10*time.Second, 1, testutil.Source("batcher transport", b.NetStats))
+	if len(got) != 1 || got[0].Payload != "x" {
+		t.Fatalf("deliveries = %+v", got)
 	}
 
 	inner2, err := NewSequencer(SequencerConfig{Procs: 2, Seed: 25})
@@ -422,22 +432,49 @@ func TestBatcherConfigNormalization(t *testing.T) {
 	}
 }
 
-// Deliveries racing Close must neither panic nor hang: subscribing
-// starts no goroutine that Close would have to wait for, and a stream
-// first asked for after Close stays silent.
+// Subscribe racing Close must neither panic nor hang, and a Subscribe
+// that lands after Close gets nothing and starts no goroutine that
+// Close would have had to wait for.
 func TestBatcherCloseRacesDeliveries(t *testing.T) {
 	const procs = 4
 	for round := 0; round < 200; round++ {
 		b := NewBatcher(newScriptedInner(procs), BatchConfig{Size: 8, Window: time.Hour})
+		collectors := make([]testutil.Collector[Delivery], procs)
 		var wg sync.WaitGroup
-		for p := 0; p < procs; p++ {
+		for p := 0; p < procs-1; p++ {
 			wg.Add(1)
 			go func(p int) {
 				defer wg.Done()
-				b.Deliveries(p)
+				b.Subscribe(p, collectors[p].Add)
 			}(p)
 		}
 		b.Close()
 		wg.Wait()
+		b.Subscribe(procs-1, collectors[procs-1].Add)
+		if n := subscribeGoroutines(); n > 0 {
+			t.Fatalf("round %d: %d goroutines started by Subscribe outlive Close", round, n)
+		}
+		for p := range collectors {
+			if n := collectors[p].Len(); n != 0 {
+				t.Fatalf("round %d: process %d got %d deliveries from a closed Batcher", round, p, n)
+			}
+		}
 	}
+}
+
+// createdBySubscribe matches a goroutine dump's "created by" line for a
+// goroutine that a Subscribe method started.
+var createdBySubscribe = regexp.MustCompile(`created by \S+\.Subscribe\b`)
+
+// subscribeGoroutines counts the live goroutines that a Subscribe
+// method started. Other tests' goroutines may still be winding down, so
+// a bare runtime.NumGoroutine would not do.
+func subscribeGoroutines() int {
+	buf := make([]byte, 64<<10)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) { // truncated
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	return len(createdBySubscribe.FindAll(buf[:n], -1))
 }

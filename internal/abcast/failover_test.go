@@ -66,7 +66,7 @@ func TestSequencerFDConformance(t *testing.T) {
 // leader (process 0) crashes mid-run, verifies that the three live
 // processes agree on one exactly-once stream covering every message
 // they sent, and returns those streams.
-func runCoordinatorCrash(t *testing.T, b streamed, restart bool) map[int][]Delivery {
+func runCoordinatorCrash(t *testing.T, b Broadcaster, restart bool) map[int][]Delivery {
 	t.Helper()
 	const procs = 4
 	const preCrash, postCrash = 5, 10
@@ -93,13 +93,16 @@ func runCoordinatorCrash(t *testing.T, b streamed, restart bool) map[int][]Deliv
 
 	total := (procs - 1) * (preCrash + postCrash)
 	orders := make(map[int][]Delivery, procs)
+	collectors := make([]testutil.Collector[Delivery], procs)
 	for p := 1; p < procs; p++ {
-		orders[p] = testutil.Drain(t, 30*time.Second, b.Deliveries(p), total, src)
+		b.Subscribe(p, collectors[p].Add)
+		orders[p] = collectors[p].Wait(t, 30*time.Second, total, src)
 	}
 	if restart {
 		// The restarted process catches up on everything it missed via
 		// retransmission and delivers the identical stream.
-		orders[0] = testutil.Drain(t, 30*time.Second, b.Deliveries(0), total, src)
+		b.Subscribe(0, collectors[0].Add)
+		orders[0] = collectors[0].Wait(t, 30*time.Second, total, src)
 	}
 	if t.Failed() {
 		t.FailNow()

@@ -22,7 +22,7 @@ import (
 // order"), so Lamport runs its private network in FIFO mode.
 // Delivery waits on every process: Lamport assumes no crashes.
 type Lamport struct {
-	members // Subscribe, Deliveries and stop
+	members // Subscribe and stop
 	n       int
 	net     network.Link
 	closed  atomic.Bool

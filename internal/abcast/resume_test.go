@@ -61,7 +61,9 @@ func TestSequencerResumeSkipsRecoveredPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	full := testutil.Drain(t, 10*time.Second, s.Deliveries(1), 3, testutil.Source("net", s.NetStats))
+	var c0, c1 testutil.Collector[Delivery]
+	s.Subscribe(1, c1.Add)
+	full := c1.Wait(t, 10*time.Second, 3, testutil.Source("net", s.NetStats))
 	for i, d := range full {
 		if d.Seq != int64(i) {
 			t.Fatalf("member 1 delivery %d has seq %d", i, d.Seq)
@@ -70,13 +72,13 @@ func TestSequencerResumeSkipsRecoveredPrefix(t *testing.T) {
 	// The simulated network may reorder the submissions, so the payload
 	// holding sequence 2 is whatever member 1 delivered there — the
 	// resumed member must deliver exactly that and nothing earlier.
-	resumed := testutil.Drain(t, 10*time.Second, s.Deliveries(0), 1, testutil.Source("net", s.NetStats))
+	s.Subscribe(0, c0.Add)
+	resumed := c0.Wait(t, 10*time.Second, 1, testutil.Source("net", s.NetStats))
 	if len(resumed) != 1 || resumed[0].Seq != 2 || resumed[0].Payload != full[2].Payload {
 		t.Fatalf("resumed member delivered %v, want only seq 2 (%v)", resumed, full[2].Payload)
 	}
-	select {
-	case d := <-s.Deliveries(0):
-		t.Fatalf("resumed member delivered pre-checkpoint order %v", d)
-	case <-time.After(100 * time.Millisecond):
+	time.Sleep(100 * time.Millisecond)
+	if n := c0.Len(); n != 1 {
+		t.Fatalf("resumed member delivered %d orders, want only seq 2", n)
 	}
 }

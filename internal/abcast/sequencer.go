@@ -28,7 +28,7 @@ import (
 // the new leader; duplicate assignment is prevented by per-request
 // (origin, reqID) keys.
 type Sequencer struct {
-	members   // Subscribe, Deliveries and stop
+	members   // Subscribe and stop
 	n         int
 	seqEP     int // dedicated sequencer endpoint (FD nil); defaults to n
 	net       network.Link
@@ -223,6 +223,23 @@ func (s *Sequencer) MessageCost() (int64, int64) {
 
 // NetStats implements Broadcaster.
 func (s *Sequencer) NetStats() network.Stats { return s.net.Stats() }
+
+// Deliveries subscribes p with a forwarder into a channel of 1024
+// slots, so its reader may fall that far behind before p's member loop
+// waits (until Close), and returns the channel. Like Subscribe, it is
+// called once per process. Its only caller is the benchmark's order
+// harness; ROADMAP W-1 makes that harness subscribe directly and
+// deletes this method.
+func (s *Sequencer) Deliveries(p int) <-chan Delivery {
+	ch := make(chan Delivery, 1024)
+	s.Subscribe(p, func(d Delivery) {
+		select {
+		case ch <- d:
+		case <-s.stop:
+		}
+	})
+	return ch
+}
 
 // Failovers reports how many sequencer takeovers have completed.
 func (s *Sequencer) Failovers() int64 { return s.failovers.Load() }

@@ -24,7 +24,7 @@ import (
 // The ring assumes processes do not crash (crash tolerance is the
 // sequencer's, failover.go): a crashed holder takes the token with it.
 type Token struct {
-	members // Subscribe, Deliveries and stop
+	members // Subscribe and stop
 	n       int
 	net     network.Link
 	pending []*tokenQueue

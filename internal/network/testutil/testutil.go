@@ -7,6 +7,7 @@
 package testutil
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -43,6 +44,46 @@ func Drain[T any](t testing.TB, timeout time.Duration, ch <-chan T, n int, sourc
 			DumpStats(t, sources...)
 			return out
 		}
+	}
+	return out
+}
+
+// Collector records the values a callback hands it, such as a
+// broadcaster's subscriber, for a test to wait on. Add never waits on a
+// reader. The zero value is ready to use.
+type Collector[T any] struct {
+	mu    sync.Mutex
+	items []T
+}
+
+// Add records v. It is the subscriber callback.
+func (c *Collector[T]) Add(v T) {
+	c.mu.Lock()
+	c.items = append(c.items, v)
+	c.mu.Unlock()
+}
+
+// Len returns how many values have arrived.
+func (c *Collector[T]) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.items)
+}
+
+// Wait polls until n values have arrived and returns them, in arrival
+// order. If fewer have arrived by the timeout, it fails t (via Errorf,
+// like Drain), dumps the stats sources and returns those.
+func (c *Collector[T]) Wait(t testing.TB, timeout time.Duration, n int, sources ...StatsSource) []T {
+	t.Helper()
+	for deadline := time.Now().Add(timeout); c.Len() < n && time.Now().Before(deadline); {
+		time.Sleep(50 * time.Microsecond)
+	}
+	c.mu.Lock()
+	out := append([]T(nil), c.items[:min(n, len(c.items))]...)
+	c.mu.Unlock()
+	if len(out) < n {
+		t.Errorf("timed out after %v with %d/%d deliveries", timeout, len(out), n)
+		DumpStats(t, sources...)
 	}
 	return out
 }

@@ -189,3 +189,103 @@ func TestDrainTimesOutOnQuiescentLink(t *testing.T) {
 		t.Fatalf("timeout did not dump stats:\n%s", joined)
 	}
 }
+
+// TestCollectorWaitReturnsFirstN: Wait returns the first n values in
+// arrival order, whether they were there before it was called or
+// arrive while it waits, and later values do not disturb them.
+func TestCollectorWaitReturnsFirstN(t *testing.T) {
+	var c testutil.Collector[int]
+	c.Add(0)
+	c.Add(1)
+	go func() {
+		for i := 2; i < 8; i++ {
+			c.Add(i)
+		}
+	}()
+	tb := &fakeTB{}
+	var got []int
+	run(func() {
+		got = c.Wait(tb, 5*time.Second, 5)
+	})
+	fatals, errors, _ := tb.snapshot()
+	if len(fatals) != 0 || len(errors) != 0 {
+		t.Fatalf("Wait failed: fatals=%q errors=%q", fatals, errors)
+	}
+	if len(got) != 5 {
+		t.Fatalf("Wait returned %d values, want 5", len(got))
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("got[%d] = %d, want %d (arrival order not kept)", i, v, i)
+		}
+	}
+	run(func() {
+		got = c.Wait(tb, 5*time.Second, 8)
+	})
+	if len(got) != 8 || got[7] != 7 || c.Len() != 8 {
+		t.Fatalf("second Wait = %v with Len %d, want 0..7", got, c.Len())
+	}
+}
+
+// TestCollectorWaitTimesOut: short of n values, Wait gives up at the
+// deadline with the values it has, fails via Errorf reporting k/n, and
+// dumps the stats sources.
+func TestCollectorWaitTimesOut(t *testing.T) {
+	var c testutil.Collector[int]
+	c.Add(10)
+	c.Add(11)
+	tb := &fakeTB{}
+	var got []int
+	start := time.Now()
+	run(func() {
+		got = c.Wait(tb, 30*time.Millisecond, 4, testutil.Source("quiet", fixedStats))
+	})
+	elapsed := time.Since(start)
+
+	fatals, errors, logs := tb.snapshot()
+	if len(fatals) != 0 {
+		t.Fatalf("Wait failed fatally, want Errorf: %q", fatals)
+	}
+	if len(errors) != 1 || !strings.Contains(errors[0], "with 2/4") {
+		t.Fatalf("errors = %q, want one timeout with 2/4", errors)
+	}
+	if len(got) != 2 || got[0] != 10 || got[1] != 11 {
+		t.Fatalf("partial wait = %v, want [10 11]", got)
+	}
+	if elapsed < 30*time.Millisecond {
+		t.Fatalf("gave up after %v, before the %v deadline", elapsed, 30*time.Millisecond)
+	}
+	if joined := strings.Join(logs, "\n"); !strings.Contains(joined, "quiet: 42 msgs") {
+		t.Fatalf("timeout did not dump stats:\n%s", joined)
+	}
+}
+
+// TestCollectorConcurrentAdd: Add from several goroutines at once,
+// while a waiter watches, loses nothing and keeps each goroutine's
+// values in its order. Run under -race, it also shows Add race-clean.
+func TestCollectorConcurrentAdd(t *testing.T) {
+	const adders, each = 4, 500
+	var c testutil.Collector[[2]int]
+	var wg sync.WaitGroup
+	for a := 0; a < adders; a++ {
+		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				c.Add([2]int{a, i})
+			}
+		}(a)
+	}
+	got := c.Wait(t, 10*time.Second, adders*each)
+	wg.Wait()
+	next := make([]int, adders)
+	for _, v := range got {
+		if v[1] != next[v[0]] {
+			t.Fatalf("adder %d: value %d arrived where %d was due", v[0], v[1], next[v[0]])
+		}
+		next[v[0]]++
+	}
+	if c.Len() != adders*each {
+		t.Fatalf("Len = %d, want %d", c.Len(), adders*each)
+	}
+}

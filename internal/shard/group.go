@@ -100,11 +100,10 @@ type GroupConfig struct {
 // there, so no goroutine or channel sits between a lane's total order
 // and the apply. The subscriber must never wait on any lane's progress.
 type Group struct {
-	procs   int
-	m       *Map
-	lanes   []abcast.Broadcaster
-	reps    []*replica
-	streams abcast.Streams
+	procs int
+	m     *Map
+	lanes []abcast.Broadcaster
+	reps  []*replica
 
 	anchMu  sync.Mutex
 	anchors map[int]anchor // per session: from + lane·procs
@@ -113,7 +112,6 @@ type Group struct {
 	idMu   sync.Mutex
 	nextID int64
 
-	stop      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 }
@@ -201,7 +199,6 @@ func NewGroup(cfg GroupConfig) (*Group, error) {
 		lanes:   cfg.Lanes,
 		reps:    make([]*replica, cfg.Procs),
 		anchors: make(map[int]anchor),
-		stop:    make(chan struct{}),
 	}
 	for p := 0; p < cfg.Procs; p++ {
 		g.reps[p] = &replica{schedule: newSchedule(p, k)}
@@ -360,11 +357,6 @@ func (g *Group) Subscribe(r int, fn func(abcast.Delivery)) {
 	}
 }
 
-// Deliveries returns replica p's stream as a channel (abcast.Streams).
-func (g *Group) Deliveries(p int) <-chan abcast.Delivery {
-	return g.streams.Get(p, g.Subscribe, g.stop)
-}
-
 // MessageCost sums the lanes' traffic counters.
 func (g *Group) MessageCost() (int64, int64) {
 	var msgs, bytes int64
@@ -401,7 +393,6 @@ func (g *Group) BatchStats() (flushes, batches, batched int64) {
 // for the merge sends.
 func (g *Group) Close() {
 	g.closeOnce.Do(func() {
-		close(g.stop)
 		for _, l := range g.lanes {
 			l.Close()
 		}

@@ -11,6 +11,7 @@ import (
 
 	"moc/internal/abcast"
 	"moc/internal/network"
+	"moc/internal/network/testutil"
 	"moc/internal/object"
 )
 
@@ -94,27 +95,22 @@ func newTestGroup(t *testing.T, procs, objects, shards int) *Group {
 	return g
 }
 
-// collect drains n deliveries per replica.
-func collect(t *testing.T, g *Group, procs, n int) [][]abcast.Delivery {
-	t.Helper()
-	out := make([][]abcast.Delivery, procs)
-	var wg sync.WaitGroup
-	for p := 0; p < procs; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				select {
-				case d := <-g.Deliveries(p):
-					out[p] = append(out[p], d)
-				case <-time.After(10 * time.Second):
-					t.Errorf("replica %d: timed out after %d deliveries", p, i)
-					return
-				}
-			}
-		}(p)
+// subscribe gives every replica of g a collector.
+func subscribe(g *Group) []testutil.Collector[abcast.Delivery] {
+	cs := make([]testutil.Collector[abcast.Delivery], g.procs)
+	for p := range cs {
+		g.Subscribe(p, cs[p].Add)
 	}
-	wg.Wait()
+	return cs
+}
+
+// wait returns the first n deliveries of each collector.
+func wait(t *testing.T, cs []testutil.Collector[abcast.Delivery], n int) [][]abcast.Delivery {
+	t.Helper()
+	out := make([][]abcast.Delivery, len(cs))
+	for p := range cs {
+		out[p] = cs[p].Wait(t, 10*time.Second, n)
+	}
 	if t.Failed() {
 		t.FailNow()
 	}
@@ -197,7 +193,7 @@ func TestGroupSingleShardOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := collect(t, g, procs, ops)
+	got := wait(t, subscribe(g), ops)
 	checkComposed(t, got, shards)
 	for p, ds := range got {
 		for _, d := range ds {
@@ -243,7 +239,7 @@ func TestGroupCrossShardMerge(t *testing.T) {
 		}(from, seed)
 	}
 	wg.Wait()
-	got := collect(t, g, procs, procs*perProc)
+	got := wait(t, subscribe(g), procs*perProc)
 	checkComposed(t, got, shards)
 }
 
@@ -251,6 +247,7 @@ func TestGroupSessionAnchorPreservesProcessOrder(t *testing.T) {
 	const procs, objects, shards = 2, 8, 4
 	for trial := 0; trial < 20; trial++ {
 		g := newTestGroup(t, procs, objects, shards)
+		cs := subscribe(g)
 		// U1 on shard 1, then U2 on shard 2: without anchoring these ride
 		// independent lanes and may apply in either order at replica 1.
 		// Promotion must deliver U2 as a cross op covering shard 1.
@@ -260,7 +257,7 @@ func TestGroupSessionAnchorPreservesProcessOrder(t *testing.T) {
 		if err := g.Broadcast(0, testPayload{ID: 2, Fp: []object.ID{2}}, 8); err != nil {
 			t.Fatal(err)
 		}
-		got := collect(t, g, procs, 2)
+		got := wait(t, cs, 2)
 		for p, ds := range got {
 			if a, b := ds[0].Payload.(testPayload).ID, ds[1].Payload.(testPayload).ID; a != 1 || b != 2 {
 				t.Fatalf("trial %d replica %d: process order inverted: got %d then %d", trial, p, a, b)
@@ -288,30 +285,22 @@ func merges(g *Group) []mergeMsgs {
 // issue broadcasts ops from process from one at a time, each once
 // the issuer's replica has delivered the one before — a session's
 // previous operation has completed when it issues the next — and
-// returns every replica's deliveries.
-func issue(t *testing.T, g *Group, procs, from int, ops []testPayload) [][]abcast.Delivery {
+// returns every replica's deliveries of ops. cs are g's collectors
+// (subscribe).
+func issue(t *testing.T, g *Group, cs []testutil.Collector[abcast.Delivery], from int, ops []testPayload) [][]abcast.Delivery {
 	t.Helper()
-	got := make([][]abcast.Delivery, procs)
-	for _, op := range ops {
+	base := cs[from].Len()
+	for i, op := range ops {
 		if err := g.Broadcast(from, op, 8); err != nil {
 			t.Fatal(err)
 		}
-		select {
-		case d := <-g.Deliveries(from):
-			got[from] = append(got[from], d)
-		case <-time.After(10 * time.Second):
+		if len(cs[from].Wait(t, 10*time.Second, base+i+1)) <= base+i {
 			t.Fatalf("payload %d never delivered at its issuer", op.ID)
 		}
 	}
+	got := wait(t, cs, base+len(ops))
 	for p := range got {
-		for len(got[p]) < len(ops) {
-			select {
-			case d := <-g.Deliveries(p):
-				got[p] = append(got[p], d)
-			case <-time.After(10 * time.Second):
-				t.Fatalf("replica %d: timed out after %d deliveries", p, len(got[p]))
-			}
-		}
+		got[p] = got[p][base:]
 	}
 	return got
 }
@@ -325,12 +314,13 @@ func TestGroupSessionLeavesMergeAfterCross(t *testing.T) {
 	const procs, objects, shards, home = 2, 8, 4, 10
 	g := newTestGroup(t, procs, objects, shards)
 	defer g.Close()
+	cs := subscribe(g)
 
 	ops := []testPayload{{ID: 0, Fp: []object.ID{2}}, {ID: 1, Fp: []object.ID{1, 2}}}
 	for i := 0; i < home; i++ {
 		ops = append(ops, testPayload{ID: 2 + i, Fp: []object.ID{object.ID(2 + shards*(i%2))}})
 	}
-	got := issue(t, g, procs, 0, ops)
+	got := issue(t, g, cs, 0, ops)
 	checkComposed(t, got, shards)
 	// The one cross operation: a Ticket and a Commit on the home shard
 	// 2, and a Close on shard 1, the shard it reaches into.
@@ -376,13 +366,14 @@ func TestGroupMergeMessageCounts(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			g := newTestGroup(t, procs, objects, shards)
 			defer g.Close()
+			cs := subscribe(g)
 			var ops []testPayload
 			for i, fp := range c.setup {
 				ops = append(ops, testPayload{ID: i, Fp: fp})
 			}
-			issue(t, g, procs, 0, ops)
+			issue(t, g, cs, 0, ops)
 			before := merges(g)
-			got := issue(t, g, procs, 0, []testPayload{{ID: len(ops), Fp: c.fp}})
+			got := issue(t, g, cs, 0, []testPayload{{ID: len(ops), Fp: c.fp}})
 			after := merges(g)
 			var total int64
 			for s := range after {
@@ -410,23 +401,17 @@ func TestGroupIssuerHoldsNothingBehindClose(t *testing.T) {
 	g := newTestGroup(t, 1, objects, shards)
 	defer g.Close()
 
-	ids := make(chan int, 1<<16)
-	go func() {
-		for d := range g.Deliveries(0) {
-			ids <- d.Payload.(testPayload).ID
+	// ids collects session 0's payloads; session 1's singles are -1.
+	var ids testutil.Collector[int]
+	g.Subscribe(0, func(d abcast.Delivery) {
+		if id := d.Payload.(testPayload).ID; id >= 0 {
+			ids.Add(id)
 		}
-	}()
+	})
 	await := func(id int) {
 		t.Helper()
-		for {
-			select {
-			case got := <-ids:
-				if got == id {
-					return
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatalf("payload %d never delivered", id)
-			}
+		if got := ids.Wait(t, 10*time.Second, id+1); len(got) <= id || got[id] != id {
+			t.Fatalf("payload %d never delivered in session order: %v", id, got)
 		}
 	}
 	// Session 0 lives on shard 0 and reaches into shard 1 with every
@@ -665,13 +650,14 @@ func TestGroupSessionsKeepSeparateAnchors(t *testing.T) {
 	const procs, objects, shards = 2, 8, 4
 	g := newTestGroup(t, procs, objects, shards)
 	defer g.Close()
+	cs := subscribe(g)
 
 	var ops []testPayload
 	for i := 0; i < 4; i++ {
 		lane := i % 2
 		ops = append(ops, testPayload{ID: i, Fp: []object.ID{object.ID(1 + lane)}, Lane: lane})
 	}
-	checkComposed(t, issue(t, g, procs, 0, ops), shards)
+	checkComposed(t, issue(t, g, cs, 0, ops), shards)
 	if got, want := merges(g), make([]mergeMsgs, shards); !reflect.DeepEqual(got, want) {
 		t.Fatalf("merge messages per lane = %+v, want none", got)
 	}
@@ -711,7 +697,7 @@ func TestGroupReadLocalAnchorsSession(t *testing.T) {
 	if err := g.Broadcast(1, testPayload{ID: 1, Fp: []object.ID{0}}, 8); err != nil {
 		t.Fatal(err)
 	}
-	got := collect(t, g, procs, 1)
+	got := wait(t, subscribe(g), 1)
 	for p, ds := range got {
 		if want := []int{0, 3}; !reflect.DeepEqual(ds[0].Shards, want) {
 			t.Fatalf("replica %d: shards %v, want %v", p, ds[0].Shards, want)
@@ -736,7 +722,7 @@ func TestGroupTouchQueryAnchors(t *testing.T) {
 	if err := g.Broadcast(0, testPayload{ID: 1, Fp: []object.ID{0}}, 8); err != nil {
 		t.Fatal(err)
 	}
-	got := collect(t, g, procs, 1)
+	got := wait(t, subscribe(g), 1)
 	for p, ds := range got {
 		if want := []int{0, 1, 3}; !reflect.DeepEqual(ds[0].Shards, want) {
 			t.Fatalf("replica %d: shards %v, want %v", p, ds[0].Shards, want)

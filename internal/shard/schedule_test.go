@@ -320,3 +320,49 @@ func TestScheduleDeliverAllocs(t *testing.T) {
 		t.Fatalf("Shards = %v, want [1]", emit[0].Shards)
 	}
 }
+
+// BenchmarkScheduleDeliver times the merge step a lane callback runs
+// under its replica lock. "single" is a single-shard delivery on an
+// idle lane, the shape TestScheduleDeliverAllocs pins at 0 allocations.
+// "cross" is one two-lane cross operation at its issuer's replica and at
+// another replica: the Ticket on lane 0, the Close the issuer sends on
+// lane 1, then the Commit it sends back on lane 0, which emits it.
+func BenchmarkScheduleDeliver(b *testing.B) {
+	b.Run("single", func(b *testing.B) {
+		b.ReportAllocs()
+		sc, d := newSchedule(0, 2), single(1)
+		for i := 0; i < b.N; i++ {
+			sc.Deliver(1, d)
+		}
+	})
+	b.Run("cross", func(b *testing.B) {
+		b.ReportAllocs()
+		const issuer, procs = 0, 2
+		shards := []int{0, 1}
+		tickets := make([]abcast.Delivery, b.N)
+		for i := range tickets {
+			tickets[i] = ticket(int64(i+1)*procs+issuer, issuer, shards, 1)
+		}
+		reps := []*schedule{newSchedule(issuer, len(shards)), newSchedule(1, len(shards))}
+		// deliver hands d to every replica on lane s and returns the merge
+		// message the issuer's replica sends in reply, if any.
+		deliver := func(s int, d abcast.Delivery) (reply abcast.Delivery, emitted int) {
+			for _, sc := range reps {
+				emit, out := sc.Deliver(s, d)
+				emitted += len(emit)
+				if len(out) > 0 {
+					reply = abcast.Delivery{From: issuer, Payload: out[0].msg}
+				}
+			}
+			return reply, emitted
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			closeMsg, _ := deliver(0, tickets[i])
+			commit, _ := deliver(1, closeMsg)
+			if _, emitted := deliver(0, commit); emitted != len(reps) {
+				b.Fatalf("op %d emitted at %d of %d replicas", i, emitted, len(reps))
+			}
+		}
+	})
+}
