@@ -60,8 +60,11 @@ codec-gate:
 # updates under a modeled per-NIC egress budget: 4 shard lanes against
 # 1, in the simulator, with 10% cross-shard updates, and over loopback
 # TCP, each held to a loose lower bound on its ops/s ratio), plus the
-# sharded chaos cell (one lane coordinator SIGKILLed mid-campaign; the
-# surviving shard must keep serving and the merged traces must verify).
+# sharded chaos cell: chaos-smoke's RunCampaign on a two-shard cluster,
+# where the victim coordinates one lane and stays down (no -recover),
+# the survivors narrow to the objects whose coordinator lives, that
+# shard must keep serving and the merged traces must verify. The cell
+# skips under -short, so it runs here without it.
 shard-smoke:
 	$(GO) test ./internal/shard/ -race -run 'TestGroup|TestSchedule' -count=1
 	$(GO) test ./internal/core/ -race -short -run 'TestShardInterleaving|TestShardStoreBuffering|TestShardingScalesOrderingCapacity' -count=1 -v

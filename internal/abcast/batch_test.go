@@ -3,8 +3,6 @@ package abcast
 import (
 	"fmt"
 	"reflect"
-	"regexp"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -172,7 +170,7 @@ func TestBatcherSubscribeExpandsInline(t *testing.T) {
 	inner := newScriptedInner(2)
 	b := NewBatcher(inner, BatchConfig{Size: 8, Window: time.Hour})
 	defer b.Close()
-	before := runtime.NumGoroutine()
+	before := testutil.GoroutinesCreatedBy(createdBySubscribe)
 	var got []Delivery
 	b.Subscribe(1, func(d Delivery) { got = append(got, d) })
 	inner.deliver(Delivery{From: 0, Payload: "solo"})
@@ -184,8 +182,8 @@ func TestBatcherSubscribeExpandsInline(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("after a batch: %+v, want %+v", got, want)
 	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("%d goroutines after Subscribe and two deliveries, %d before", after, before)
+	if after := testutil.GoroutinesCreatedBy(createdBySubscribe); after > before {
+		t.Fatalf("%d goroutines created by Subscribe after it and two deliveries, %d before", after, before)
 	}
 }
 
@@ -451,7 +449,7 @@ func TestBatcherCloseRacesDeliveries(t *testing.T) {
 		b.Close()
 		wg.Wait()
 		b.Subscribe(procs-1, collectors[procs-1].Add)
-		if n := subscribeGoroutines(); n > 0 {
+		if n := testutil.GoroutinesCreatedBy(createdBySubscribe); n > 0 {
 			t.Fatalf("round %d: %d goroutines started by Subscribe outlive Close", round, n)
 		}
 		for p := range collectors {
@@ -462,19 +460,6 @@ func TestBatcherCloseRacesDeliveries(t *testing.T) {
 	}
 }
 
-// createdBySubscribe matches a goroutine dump's "created by" line for a
-// goroutine that a Subscribe method started.
-var createdBySubscribe = regexp.MustCompile(`created by \S+\.Subscribe\b`)
-
-// subscribeGoroutines counts the live goroutines that a Subscribe
-// method started. Other tests' goroutines may still be winding down, so
-// a bare runtime.NumGoroutine would not do.
-func subscribeGoroutines() int {
-	buf := make([]byte, 64<<10)
-	n := runtime.Stack(buf, true)
-	for n == len(buf) { // truncated
-		buf = make([]byte, 2*len(buf))
-		n = runtime.Stack(buf, true)
-	}
-	return len(createdBySubscribe.FindAll(buf[:n], -1))
-}
+// createdBySubscribe matches the function a Subscribe method's
+// goroutine names on its "created by" line.
+const createdBySubscribe = `\.Subscribe\b`

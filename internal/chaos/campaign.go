@@ -15,20 +15,30 @@ import (
 	"moc/internal/mocrpc"
 )
 
-// CampaignConfig parameterizes RunCampaign: a three-phase availability
-// campaign over a real mocd cluster. Phase A runs the full cluster
-// (with socket faults and an optional partition window), phase B runs
-// with one daemon SIGKILLed, phase C runs after the victim restarts and
-// rejoins via checkpoint transfer. Op counts are paced, not open-loop:
-// the exact checkers that validate the merged history are exponential
-// in the worst case, so a campaign keeps the history bounded.
+// CampaignConfig parameterizes RunCampaign: an availability campaign
+// over a real mocd cluster. Phase A runs the full cluster (with socket
+// faults and an optional partition window), phase B runs with one
+// daemon SIGKILLed, and on an unsharded cluster phase C runs after the
+// victim restarts and rejoins via checkpoint transfer. Sharded lanes
+// cannot adopt a checkpoint, so a sharded campaign ends with phase B
+// and its victim stays down. Op counts are paced, not open-loop: the
+// exact checkers that validate the merged history are exponential in
+// the worst case, so a campaign keeps the history bounded.
 type CampaignConfig struct {
+	// Cluster is the cluster to launch. A sharded one (Shards > 1) must
+	// run "msc": m-lin query rounds gather peer responses and would
+	// couple every shard's availability to the dead daemon.
 	Cluster ClusterConfig
-	// Kill is the daemon SIGKILLed at the A/B boundary. Must not be 0:
-	// daemon 0 owns the fixed sequencer endpoint, and killing the
-	// sequencer is a total outage, not a single-node failure.
+	// Kill is the daemon SIGKILLed at the A/B boundary, in [0, N).
+	// Object idx is on lane idx mod S (S = max(Shards, 1)), and lane s's
+	// coordinator endpoint N+s is owned by daemon (N+s) mod N. The
+	// survivor pool, every object whose coordinator is not Kill, must
+	// hold at least 2 objects (span-2 footprints). Unsharded, daemon 0
+	// hosts the one coordinator, so killing it empties the pool: losing
+	// the sequencer is a total outage, not a single-node failure.
 	Kill int
-	// PhaseA, PhaseB, PhaseC are the phase lengths.
+	// PhaseA, PhaseB, PhaseC are the phase lengths. PhaseC must be 0 on
+	// a sharded cluster.
 	PhaseA, PhaseB, PhaseC time.Duration
 	// Pace is each worker's gap between operation attempts.
 	Pace time.Duration
@@ -82,9 +92,21 @@ type CampaignResult struct {
 	P99 time.Duration `json:"p99Ns"`
 	// Buckets is the availability timeline.
 	Buckets []Bucket `json:"buckets"`
-	// KillAt, RestartAt mark the schedule on the same clock as Buckets.
+	// KillAt, RestartAt mark the schedule on the same clock as Buckets
+	// (RestartAt stays 0 on a sharded cluster, whose victim stays down).
 	KillAt    time.Duration `json:"killAtNs"`
 	RestartAt time.Duration `json:"restartAtNs"`
+	// OKAfterKill / UnavailableAfterKill sum the timeline from the kill
+	// on: successes are the survivors' availability, failures the
+	// victim's client measuring the outage.
+	OKAfterKill          int64 `json:"okAfterKill"`
+	UnavailableAfterKill int64 `json:"unavailableAfterKill"`
+	// SafeObjects is the survivor pool (see CampaignConfig.Kill), the
+	// only objects the survivors touch from the kill on.
+	SafeObjects []string `json:"safeObjects"`
+	// ShardSpec is the shard map the traces carried, "" unsharded
+	// (MergeTraces rejects disagreeing streams).
+	ShardSpec string `json:"shardSpec"`
 	// Recoveries is the restarted daemon's adopted-checkpoint count
 	// (1 = it rejoined via checkpoint transfer).
 	Recoveries int64 `json:"recoveries"`
@@ -108,25 +130,17 @@ type worker struct {
 	id      int
 	cfg     *CampaignConfig
 	client  *mocrpc.Client
-	objects []string
+	objects []string // footprint pool; narrowed to the survivor pool at the kill
 	rng     *rand.Rand
 	n       int // value-uniqueness stride
 
 	ops int64 // monotone per-worker op counter; consumed even on failure
 
-	// paused suspends issuing; stepMu barriers the in-flight step. See
-	// the pre-kill quiesce in RunCampaign.
-	paused atomic.Bool
+	// stepMu is held for each step. RunCampaign holds it across the kill
+	// to quiesce the worker, and only then touches its other fields.
 	stepMu sync.Mutex
 
-	// restricted narrows the footprint pool to restrictedObjs — the
-	// sharded campaign flips it after the lane kill so survivors issue
-	// only operations of the still-coordinated shard.
-	restricted     atomic.Bool
-	restrictedObjs []string
-
-	mu        sync.Mutex
-	latencies []time.Duration
+	latencies []time.Duration // read once the worker goroutine has exited
 }
 
 // result buckets are shared across workers.
@@ -169,14 +183,10 @@ func (w *worker) step(tl *timeline, counters *campaignCounters, stop <-chan stru
 	op := w.ops
 	w.ops++
 	update := w.rng.Float64() >= w.cfg.ReadFrac
-	pool := w.objects
-	if w.restricted.Load() {
-		pool = w.restrictedObjs
-	}
 	// Span-2 footprint: two distinct objects per operation.
-	i := w.rng.Intn(len(pool))
-	j := (i + 1 + w.rng.Intn(len(pool)-1)) % len(pool)
-	objs := []string{pool[i], pool[j]}
+	i := w.rng.Intn(len(w.objects))
+	j := (i + 1 + w.rng.Intn(len(w.objects)-1)) % len(w.objects)
+	objs := []string{w.objects[i], w.objects[j]}
 	level := ""
 	if !update && len(w.cfg.QueryLevels) > 0 {
 		level = w.cfg.QueryLevels[w.rng.Intn(len(w.cfg.QueryLevels))]
@@ -197,11 +207,9 @@ func (w *worker) step(tl *timeline, counters *campaignCounters, stop <-chan stru
 		if err == nil {
 			counters.ok.Add(1)
 			tl.record(now, true, false, false)
-			w.mu.Lock()
 			// Latency is measured from the first attempt, so an update
 			// that rides out an outage via retries reports the outage.
 			w.latencies = append(w.latencies, now.Sub(t0))
-			w.mu.Unlock()
 			return
 		}
 		switch {
@@ -248,15 +256,70 @@ type campaignCounters struct {
 	attempts, ok, unavailable, indeterminate, serverErrs atomic.Int64
 }
 
-// RunCampaign executes the three-phase chaos campaign and validates the
-// merged trace files with the exact checker matching the cluster's
-// consistency condition.
-func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
-	if cfg.Kill <= 0 || cfg.Kill >= cfg.Cluster.N {
-		return nil, fmt.Errorf("chaos: Kill must name a non-sequencer daemon in (0, %d)", cfg.Cluster.N)
+// safeObjects returns the survivor pool in list order: every object
+// whose lane coordinator is not the killed daemon (see
+// CampaignConfig.Kill).
+func safeObjects(cfg CampaignConfig) []string {
+	n, lanes := cfg.Cluster.N, max(cfg.Cluster.Shards, 1)
+	var out []string
+	for idx, name := range cfg.Cluster.Objects {
+		if (n+idx%lanes)%n != cfg.Kill {
+			out = append(out, name)
+		}
 	}
-	if cfg.Pace <= 0 {
+	return out
+}
+
+// anchorFix issues one quiesced-worker update on the survivor pool,
+// moving the worker's server-side session anchor onto surviving lanes
+// before the kill (the daemons run one issuing lane, so the session is
+// the process): a later update whose anchor still named the victim's
+// lane could be promoted onto it and block forever on the dead
+// coordinator — the documented liveness cost of session anchoring,
+// which the campaign steps around rather than measures. Unsharded, it
+// is one more unique-valued update. Retries transient connect failures;
+// every lane is still alive here, so the update itself completes.
+func (w *worker) anchorFix(objs []string, deadline time.Duration) error {
+	op := w.ops
+	w.ops++
+	val := 1 + op*int64(w.n) + int64(w.id)
+	vals := make([]int64, len(objs))
+	for i := range vals {
+		vals[i] = val
+	}
+	var err error
+	for start := time.Now(); time.Since(start) < deadline; {
+		if _, err = w.client.Exec("massign", objs, vals, ""); err == nil {
+			return nil
+		}
+		if !mocrpc.IsRetryable(err) {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	return fmt.Errorf("chaos: anchor fix on worker %d (%v deadline): %w", w.id, deadline, err)
+}
+
+// RunCampaign executes the chaos campaign and validates the merged
+// trace files with the exact checker matching the cluster's consistency
+// condition. Every difference between an unsharded and a sharded
+// campaign follows from Cluster.Shards.
+func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
+	sharded := cfg.Cluster.Shards > 1
+	switch {
+	case cfg.Pace <= 0:
 		return nil, errors.New("chaos: Pace is required (unpaced campaigns overwhelm the exact checkers)")
+	case sharded && cfg.Cluster.Consistency != "" && cfg.Cluster.Consistency != "msc":
+		return nil, fmt.Errorf("chaos: a sharded campaign supports msc only, got %q", cfg.Cluster.Consistency)
+	case sharded && cfg.PhaseC > 0:
+		return nil, errors.New("chaos: PhaseC needs an unsharded cluster (sharded lanes have no checkpoint rejoin, so the victim stays down)")
+	case cfg.Kill < 0 || cfg.Kill >= cfg.Cluster.N:
+		return nil, fmt.Errorf("chaos: Kill %d is not a daemon in [0, %d)", cfg.Kill, cfg.Cluster.N)
+	}
+	safe := safeObjects(cfg)
+	if len(safe) < 2 {
+		return nil, fmt.Errorf("chaos: killing daemon %d leaves %d objects whose lane coordinator survives; span-2 footprints need at least 2",
+			cfg.Kill, len(safe))
 	}
 	if cfg.CallTimeout <= 0 {
 		cfg.CallTimeout = 2 * time.Second
@@ -299,7 +362,6 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, w := range workers {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -310,9 +372,6 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 				case <-stop:
 					return
 				case <-tick.C:
-					if w.paused.Load() {
-						continue
-					}
 					w.stepMu.Lock()
 					w.step(tl, counters, stop)
 					w.stepMu.Unlock()
@@ -320,43 +379,60 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 			}
 		}()
 	}
+	stopWorkers := sync.OnceFunc(func() {
+		close(stop)
+		wg.Wait()
+	})
+	defer stopWorkers()
 
 	// Phase A: full cluster under socket faults (and the partition
-	// window, if configured).
+	// window, if configured); footprints cross lanes freely.
 	time.Sleep(cfg.PhaseA)
-	// Quiesce the victim's client before the SIGKILL: an update the
-	// sequencer ordered but the victim never acknowledged would be
-	// applied at survivors yet recorded in no trace — a survivor read
-	// observing it would leave the merged history incomplete. Pausing
-	// issuance and barriering the in-flight step guarantees every
-	// victim update at kill time is either acknowledged (recorded in
-	// the kill-safe trace) or provably never submitted. The kill itself
-	// stays impolite — no drain, no trace seal — and the worker resumes
-	// immediately so the dead daemon's unavailability is measured.
-	victim := workers[cfg.Kill]
-	victim.paused.Store(true)
-	victim.stepMu.Lock()
-	victim.stepMu.Unlock() //nolint:staticcheck // barrier, not a critical section
-	killAt := time.Since(start)
-	if err := cluster.Kill(cfg.Kill); err != nil {
-		close(stop)
-		wg.Wait()
+	// Quiesce every worker across the kill by holding its stepMu, which
+	// waits out its in-flight step and starts no other. An update the
+	// lane ordered but the victim never acknowledged would be applied at
+	// survivors yet recorded in no trace — a survivor read observing it
+	// would leave the merged history incomplete — so every victim update
+	// at kill time is either acknowledged (recorded in the kill-safe
+	// trace) or provably never submitted. Meanwhile each survivor pins
+	// its session onto the pool and narrows its footprints to it. The
+	// kill itself stays impolite — no drain, no trace seal — and the
+	// victim's worker resumes at once so the outage is measured.
+	var killAt time.Duration
+	err = func() error {
+		for _, w := range workers {
+			w.stepMu.Lock()
+			defer w.stepMu.Unlock()
+		}
+		for i, w := range workers {
+			if i == cfg.Kill {
+				continue
+			}
+			if err := w.anchorFix(safe[:2], 5*time.Second); err != nil {
+				return err
+			}
+			w.objects = safe
+		}
+		killAt = time.Since(start)
+		return cluster.Kill(cfg.Kill)
+	}()
+	if err != nil {
 		return nil, err
 	}
-	victim.paused.Store(false)
-	// Phase B: survivors carry the load; the killed daemon's worker
+	// Phase B: survivors carry the pool's load; the victim's worker
 	// records unavailability.
 	time.Sleep(cfg.PhaseB)
-	if err := cluster.Restart(cfg.Kill); err != nil {
-		close(stop)
-		wg.Wait()
-		return nil, err
+	var restartAt time.Duration
+	if !sharded {
+		// Phase C: the restarted daemon serves again after checkpoint
+		// rejoin.
+		if err := cluster.Restart(cfg.Kill); err != nil {
+			return nil, err
+		}
+		restartAt = time.Since(start)
+		time.Sleep(cfg.PhaseC)
 	}
-	restartAt := time.Since(start)
-	// Phase C: the restarted daemon serves again after checkpoint rejoin.
-	time.Sleep(cfg.PhaseC)
-	close(stop)
-	wg.Wait()
+	stopWorkers()
 
 	res := &CampaignResult{
 		Attempts:      counters.attempts.Load(),
@@ -366,6 +442,7 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		ServerErrors:  counters.serverErrs.Load(),
 		KillAt:        killAt,
 		RestartAt:     restartAt,
+		SafeObjects:   safe,
 	}
 
 	// Harvest counters from the live daemons before shutting down.
@@ -390,18 +467,20 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 
 	var lats []time.Duration
 	for _, w := range workers {
-		w.mu.Lock()
 		lats = append(lats, w.latencies...)
-		w.mu.Unlock()
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	if len(lats) > 0 {
 		res.P50 = lats[len(lats)/2]
 		res.P99 = lats[len(lats)*99/100]
 	}
-	tl.mu.Lock()
 	res.Buckets = tl.buckets
-	tl.mu.Unlock()
+	for _, b := range res.Buckets {
+		if b.Start >= killAt {
+			res.OKAfterKill += b.OK
+			res.UnavailableAfterKill += b.Unavailable
+		}
+	}
 
 	// Merge every generation's trace file and run the exact checker.
 	traces, torn, err := cluster.Traces()
@@ -409,6 +488,7 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		return res, err
 	}
 	res.TornLines = torn
+	res.ShardSpec = traces[0].Shards
 	recs, reg, cons, err := core.MergeTraces(traces...)
 	if err != nil {
 		return res, err

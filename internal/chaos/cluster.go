@@ -135,8 +135,9 @@ func freeAddrs(n int) ([]string, error) {
 	return addrs, nil
 }
 
-// Launch starts the full cluster (every daemon with -recover and a
-// kill-safe trace file) and waits until every daemon answers a ping.
+// Launch starts the full cluster (every daemon with a kill-safe trace
+// file, and with -recover unless sharded) and waits until every daemon
+// answers a ping.
 func Launch(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.MocdBin == "" || cfg.Dir == "" || cfg.N <= 0 {
 		return nil, errors.New("chaos: MocdBin, Dir and N are required")
@@ -249,7 +250,7 @@ func (c *Cluster) start(id int) error {
 func (c *Cluster) waitReady(id int) error {
 	cl, err := mocrpc.Dial(c.clientAddrs[id], c.cfg.ReadyTimeout)
 	if err != nil {
-		return fmt.Errorf("chaos: daemon %d never became ready: %w", id, err)
+		return fmt.Errorf("chaos: daemon %d not ready within the %v start-up budget: %w", id, c.cfg.ReadyTimeout, err)
 	}
 	defer cl.Close()
 	if err := cl.Ping(); err != nil {
@@ -291,8 +292,15 @@ func (c *Cluster) Restart(id int) error {
 	return c.waitReady(id)
 }
 
-// Info fetches daemon id's operational counters.
+// Info fetches daemon id's operational counters. A daemon that is down
+// fails at once rather than after a dial timeout.
 func (c *Cluster) Info(id int) (map[string]int64, error) {
+	c.mu.Lock()
+	up := c.procs[id] != nil
+	c.mu.Unlock()
+	if !up {
+		return nil, fmt.Errorf("chaos: daemon %d is not running", id)
+	}
 	cl, err := mocrpc.Dial(c.clientAddrs[id], 5*time.Second)
 	if err != nil {
 		return nil, err

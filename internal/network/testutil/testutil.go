@@ -7,6 +7,9 @@
 package testutil
 
 import (
+	"regexp"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -118,4 +121,29 @@ func DumpStats(t testing.TB, sources ...StatsSource) {
 			t.Logf("%s:   %-14s %6d msgs %8d bytes", src.Name, kind, ks.Messages, ks.Bytes)
 		}
 	}
+}
+
+// GoroutinesCreatedBy counts the live goroutines whose "created by"
+// line in a full goroutine dump names a function matching pattern, a
+// regexp such as `\.Subscribe\b` or `^moc/internal/shard\.`. Unlike a
+// runtime.NumGoroutine delta, the count ignores goroutines that other
+// tests start and end meanwhile.
+func GoroutinesCreatedBy(pattern string) int {
+	re := regexp.MustCompile(pattern)
+	buf := make([]byte, 64<<10)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) { // truncated
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	count := 0
+	for _, line := range strings.Split(string(buf[:n]), "\n") {
+		if fn, ok := strings.CutPrefix(line, "created by "); ok {
+			fn, _, _ = strings.Cut(fn, " in goroutine ")
+			if re.MatchString(fn) {
+				count++
+			}
+		}
+	}
+	return count
 }

@@ -289,3 +289,37 @@ func TestCollectorConcurrentAdd(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", c.Len(), adders*each)
 	}
 }
+
+// parkGoroutines starts n goroutines that wait for release; their
+// "created by" line names this function.
+func parkGoroutines(n int, release <-chan struct{}, wg *sync.WaitGroup) {
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-release
+		}()
+	}
+}
+
+func TestGoroutinesCreatedBy(t *testing.T) {
+	const pattern = `testutil_test\.parkGoroutines$`
+	if n := testutil.GoroutinesCreatedBy(pattern); n != 0 {
+		t.Fatalf("%d goroutines before any was started, want 0", n)
+	}
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	parkGoroutines(3, release, &wg)
+	// A goroutine created elsewhere does not count.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-release
+	}()
+	if n := testutil.GoroutinesCreatedBy(pattern); n != 3 {
+		t.Fatalf("%d goroutines matched while 3 are parked", n)
+	}
+	close(release)
+	wg.Wait()
+	testutil.Eventually(t, time.Second, func() bool { return testutil.GoroutinesCreatedBy(pattern) == 0 })
+}

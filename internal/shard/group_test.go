@@ -3,7 +3,6 @@ package shard
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -817,7 +816,8 @@ func TestGroupStatsSumLanes(t *testing.T) {
 // a delivery reaches the subscriber before the lane's Broadcast returns.
 func TestGroupSubscribeStartsNoGoroutine(t *testing.T) {
 	const procs, objects, shards = 3, 8, 4
-	before := runtime.NumGoroutine()
+	const createdInShard = `^moc/internal/shard\.`
+	before := testutil.GoroutinesCreatedBy(createdInShard)
 	g := newTestGroup(t, procs, objects, shards)
 	defer g.Close()
 	got := make([][]int, procs)
@@ -835,8 +835,8 @@ func TestGroupSubscribeStartsNoGoroutine(t *testing.T) {
 			}
 		}
 	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("%d goroutines after NewGroup, Subscribe and %d deliveries, %d before", after, shards, before)
+	if after := testutil.GoroutinesCreatedBy(createdInShard); after > before {
+		t.Fatalf("%d goroutines created in package shard after NewGroup, Subscribe and %d deliveries, %d before", after, shards, before)
 	}
 }
 
